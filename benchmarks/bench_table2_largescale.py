@@ -9,7 +9,7 @@ TeraClickLog times are ~flat in eps.
 """
 import pytest
 
-from repro import synth_data as sd
+from jobs.common import DATASETS
 from repro.baselines.rpdbscan_like import rpdbscan
 from repro.core.dbscan import dbscan
 
@@ -24,19 +24,12 @@ CASES = [
 ]
 MIN_PTS = 100
 
-_GEN = {
-    "geolife": sd.geolife_like,
-    "cosmo50": sd.cosmo50_like,
-    "osm": sd.osm_like,
-    "teraclicklog": sd.teraclicklog_like,
-}
-
 _cache = {}
 
 
 def _df(spark, name, n):
     if name not in _cache:
-        df = _GEN[name](spark, n=n, seed=1).cache()
+        df = DATASETS[name](spark, n=n, seed=1).cache()
         df.count()
         _cache[name] = df
     return _cache[name]

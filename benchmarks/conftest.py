@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark suite.
 
 Scales are deliberately ~1000x below the paper's (10M–4.4B points): the
-substrate is PySpark-on-16-cores with Python kernels, not Cilk-on-36-cores,
+substrate is PySpark-on-4-cores with Python kernels, not Cilk-on-36-cores,
 so absolute numbers differ by construction; EXPERIMENTS.md compares *shapes*.
 ``REPRO_BENCH_N`` / ``REPRO_BENCH_N_T2`` override the default sizes.
 """

@@ -4,10 +4,22 @@ Each job builds its own SparkSession (they run standalone via spark-submit
 or plain python, not under the pytest fixture).  ``--master`` can be
 overridden through the SPARK_MASTER environment variable, which is how
 ``speedup_sweep.py`` runs the same job under local[1], local[2], ...
+
+Importing this module puts the repository's ``src`` on the driver's
+``sys.path`` and on ``PYTHONPATH``, which the Python workers inherit when
+the session starts, so the jobs run from a checkout without installing
+``repro``.
 """
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # spark.driver.memory is read at JVM launch, not from SparkConf, so it must
 # be in PYSPARK_SUBMIT_ARGS before pyspark is imported (same trick as the
@@ -21,6 +33,8 @@ os.environ.setdefault(
 )
 
 from pyspark.sql import SparkSession  # noqa: E402
+
+from repro import synth_data as sd  # noqa: E402
 
 
 def get_spark(app: str) -> SparkSession:
@@ -38,21 +52,23 @@ def get_spark(app: str) -> SparkSession:
     return s
 
 
+# name -> generator in repro.synth_data; those named in TAKES_D also take
+# the dimension d, the others have a fixed one.
 DATASETS = {
-    "ss-simden": lambda sd, spark, n, d: sd.ss_simden(spark, n=n, d=d),
-    "ss-varden": lambda sd, spark, n, d: sd.ss_varden(spark, n=n, d=d),
-    "uniform": lambda sd, spark, n, d: sd.uniform_fill(spark, n=n, d=d),
-    "geolife": lambda sd, spark, n, d: sd.geolife_like(spark, n=n),
-    "cosmo50": lambda sd, spark, n, d: sd.cosmo50_like(spark, n=n),
-    "osm": lambda sd, spark, n, d: sd.osm_like(spark, n=n),
-    "teraclicklog": lambda sd, spark, n, d: sd.teraclicklog_like(spark, n=n),
-    "household": lambda sd, spark, n, d: sd.household_like(spark, n=n),
+    "ss-simden": sd.ss_simden,
+    "ss-varden": sd.ss_varden,
+    "uniform": sd.uniform_fill,
+    "geolife": sd.geolife_like,
+    "cosmo50": sd.cosmo50_like,
+    "osm": sd.osm_like,
+    "teraclicklog": sd.teraclicklog_like,
+    "household": sd.household_like,
 }
+TAKES_D = {"ss-simden", "ss-varden", "uniform"}
 
 
 def load_dataset(spark, name: str, n: int, d: int):
-    from repro import synth_data as sd
-
-    df = DATASETS[name](sd, spark, n, d).cache()
+    kw = {"d": d} if name in TAKES_D else {}
+    df = DATASETS[name](spark, n=n, **kw).cache()
     df.count()
     return df

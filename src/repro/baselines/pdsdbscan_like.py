@@ -11,9 +11,10 @@ The defining characteristics the paper measures against (§7.1–7.2):
   merge design, with Spark tasks standing in for threads).
 
 Two passes over the bucketed cell cogroup (cells hashed into buckets, local
-dict index per task): pass 1 counts eps-neighbors pointwise to produce core
-flags; pass 2, with core flags joined in, unions core-core pairs locally and
-emits spanning-forest edges plus border links.  The driver merges forests
+dict index per task): pass 1 counts eps-neighbors pointwise with the shared
+per-target-cell kernel (``repro.core.cellkernel``) to produce core flags;
+pass 2, with core flags joined in, unions core-core pairs locally across the
+whole task and emits spanning-forest edges plus border links.  The driver merges forests
 and assembles the output.
 """
 from __future__ import annotations
@@ -24,48 +25,8 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import grid
-from repro.core.mark_core import _bucket
+from repro.core.cellkernel import bucket, count_within, per_target_cell
 from repro.primitives.unionfind import UnionFind
-
-
-def _count_kernel(d: int):
-    xc = grid.xcols(d)
-    rxc = [f"r{c}" for c in xc]
-
-    def make(eps: float):
-        eps2 = eps * eps
-        empty = pd.DataFrame(
-            {"qid": pd.Series(dtype="int64"), "cnt": pd.Series(dtype="int64")}
-        )
-
-        def fn(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-            if len(left) == 0 or len(right) == 0:
-                return empty
-            q_all = left[xc].to_numpy(dtype=np.float64)
-            qid_all = left["id"].to_numpy()
-            p_all = right[rxc].to_numpy(dtype=np.float64)
-            out_q, out_c = [], []
-            rgroups = right.groupby("rcell", sort=False).indices
-            for tcell, lidx in left.groupby("tcell", sort=False).indices.items():
-                ridx = rgroups.get(tcell)
-                if ridx is None:
-                    continue
-                q = q_all[lidx]
-                p = p_all[ridx]
-                cnt = np.zeros(len(q), dtype=np.int64)
-                block = max(1, (1 << 22) // max(len(p), 1))
-                for i in range(0, len(q), block):
-                    d2 = ((q[i : i + block, None, :] - p[None, :, :]) ** 2).sum(axis=2)
-                    cnt[i : i + block] = (d2 <= eps2).sum(axis=1)
-                out_q.append(qid_all[lidx])
-                out_c.append(cnt)
-            if not out_q:
-                return empty
-            return pd.DataFrame({"qid": np.concatenate(out_q), "cnt": np.concatenate(out_c)})
-
-        return fn
-
-    return make
 
 
 def _merge_kernel(d: int, eps: float):
@@ -152,29 +113,32 @@ def pdsdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int) -> Dat
         queries = own.unionByName(nbr)
     else:
         queries = own
-    queries = queries.withColumn("bucket", _bucket(F.col("tcell"))).cache()
-    right = pts_cells.select(
-        F.col("id").alias("rid"),
-        F.col("cell").alias("rcell"),
-        *[F.col(c).alias(f"r{c}") for c in xc],
-    ).withColumn("bucket", _bucket(F.col("rcell"))).cache()
+    queries = queries.cache()
 
     # ---- pass 1: pointwise counts -> core flags -------------------------
-    counts = (
-        queries.groupBy("bucket")
-        .cogroup(right.groupBy("bucket"))
-        .applyInPandas(_count_kernel(d)(eps), "qid long, cnt long")
-        .groupBy("qid")
-        .agg(F.sum("cnt").alias("n_nbrs"))
+    counts = per_target_cell(
+        queries.withColumnRenamed("id", "key"),
+        pts_cells.select("cell", *xc),
+        d,
+        lambda key, q, p, _: (key, count_within(q, p, eps)),
     )
-    flags = counts.select(
-        F.col("qid").alias("id"), (F.col("n_nbrs") >= min_pts).alias("is_core")
-    ).cache()
+    flags = (
+        counts.groupBy("key")
+        .agg(F.sum("value").alias("n_nbrs"))
+        .select(F.col("key").alias("id"), (F.col("n_nbrs") >= min_pts).alias("is_core"))
+        .cache()
+    )
 
     # ---- pass 2: local disjoint sets + merge ----------------------------
-    q2 = queries.join(flags, "id").select("id", "is_core", *xc, "tcell", "bucket")
-    r2 = right.join(
-        flags.select(F.col("id").alias("rid"), F.col("is_core").alias("ris_core")), "rid"
+    q2 = queries.join(flags, "id").withColumn("bucket", bucket(F.col("tcell")))
+    r2 = (
+        pts_cells.select(
+            F.col("id").alias("rid"),
+            F.col("cell").alias("rcell"),
+            *[F.col(c).alias(f"r{c}") for c in xc],
+        )
+        .join(flags.select(F.col("id").alias("rid"), F.col("is_core").alias("ris_core")), "rid")
+        .withColumn("bucket", bucket(F.col("rcell")))
     )
     raw = (
         q2.groupBy("bucket")
@@ -217,5 +181,4 @@ def pdsdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int) -> Dat
         )
     )
     queries.unpersist()
-    right.unpersist()
     return out

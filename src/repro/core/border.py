@@ -5,11 +5,11 @@ of its own cell and of each neighboring cell; for each such cell with a core
 point within eps, p joins that cell's cluster.  Border points can belong to
 several clusters (§2), so the result is a per-point set of cluster labels.
 
-Implementation mirrors MarkCore's bucketed fan-out: queries keyed by target
-cell are cogrouped (per cell-hash bucket) with that cell's core points —
-which all share one cluster label, cells being the cell-graph vertices — and
-a vectorised any-within-eps test emits (point, cluster) pairs, deduplicated
-by a shuffle ``collect_set``.
+The check is the shared per-target-cell kernel
+(``cellkernel.per_target_cell``): queries aimed at a cell meet that cell's
+core points — which all share one cluster label, cells being the cell-graph
+vertices — and the per-cell test is a vectorised any-within-eps scan that
+yields (point, cluster) pairs, deduplicated by a shuffle ``collect_set``.
 """
 from __future__ import annotations
 
@@ -18,47 +18,19 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.cellkernel import count_within, per_target_cell
 from repro.core.grid import xcols
-from repro.core.mark_core import _bucket
 
 
-def _border_kernel(d: int, eps: float):
-    xc = xcols(d)
-    rxc = [f"r{c}" for c in xc]
-    empty = pd.DataFrame(
-        {"pid": pd.Series(dtype="int64"), "cluster": pd.Series(dtype="int64")}
-    )
+def _border_check(eps: float):
+    """Per-cell test: queries with a core point of the cell within eps get
+    the cell's cluster."""
 
-    def fn(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-        if len(left) == 0 or len(right) == 0:
-            return empty
-        eps2 = eps * eps
-        p_all = right[rxc].to_numpy(dtype=np.float64)
-        cl_all = right["cluster"].to_numpy()
-        q_all = left[xc].to_numpy(dtype=np.float64)
-        id_all = left["id"].to_numpy()
-        out_p, out_c = [], []
-        rgroups = right.groupby("rcell", sort=False).indices
-        for tcell, lidx in left.groupby("tcell", sort=False).indices.items():
-            ridx = rgroups.get(tcell)
-            if ridx is None:
-                continue
-            q = q_all[lidx]
-            p = p_all[ridx]
-            hit = np.zeros(len(q), dtype=bool)
-            block = max(1, (1 << 22) // max(len(p), 1))
-            for i in range(0, len(q), block):
-                d2 = ((q[i : i + block, None, :] - p[None, :, :]) ** 2).sum(axis=2)
-                hit[i : i + block] = (d2 <= eps2).any(axis=1)
-            pid = id_all[lidx][hit]
-            if len(pid):
-                out_p.append(pid)
-                out_c.append(np.full(len(pid), int(cl_all[ridx[0]]), dtype=np.int64))
-        if not out_p:
-            return empty
-        return pd.DataFrame({"pid": np.concatenate(out_p), "cluster": np.concatenate(out_c)})
+    def test(key, q, p, cluster):
+        hit = count_within(q, p, eps) > 0
+        return key[hit], np.full(int(hit.sum()), cluster[0], dtype=np.int64)
 
-    return fn
+    return test
 
 
 def cluster_border(
@@ -84,34 +56,19 @@ def cluster_border(
     at least one cluster (border points). Noise points are absent.
     """
     xc = xcols(d)
-    noncore = (
-        pts_cells.join(core_flags.where(~F.col("is_core")).select("id"), "id")
-        .select("id", "cell", *xc)
+    noncore = pts_cells.join(core_flags.where(~F.col("is_core")).select("id"), "id").select(
+        F.col("id").alias("key"), "cell", *xc
     )
     # Targets: own cell plus neighbors.
-    own_targets = noncore.select("id", *xc, F.col("cell").alias("tcell"))
+    queries = noncore.withColumnRenamed("cell", "tcell")
     if len(npairs):
-        npairs_df = spark.createDataFrame(npairs)
-        nbr_targets = noncore.join(npairs_df, "cell").select(
-            "id", *xc, F.col("ncell").alias("tcell")
+        queries = queries.unionByName(
+            noncore.join(spark.createDataFrame(npairs), "cell").select(
+                "key", F.col("ncell").alias("tcell"), *xc
+            )
         )
-        queries = own_targets.unionByName(nbr_targets)
-    else:
-        queries = own_targets
-    queries = queries.withColumn("bucket", _bucket(F.col("tcell")))
-
-    # Rename the right side's columns: both cogroup branches derive from the
-    # same cached points DataFrame and need distinct attributes.
-    right = core_clustered.select(
-        F.col("cell").alias("rcell"),
-        "cluster",
-        *[F.col(c).alias(f"r{c}") for c in xc],
-    ).withColumn("bucket", _bucket(F.col("rcell")))
-    pairs = (
-        queries.groupBy("bucket")
-        .cogroup(right.groupBy("bucket"))
-        .applyInPandas(_border_kernel(d, eps), "pid long, cluster long")
-    )
-    return pairs.groupBy("pid").agg(
-        F.array_sort(F.collect_set("cluster")).alias("clusters")
-    ).withColumnRenamed("pid", "id")
+    targets = core_clustered.select("cell", *xc, "cluster")
+    pairs = per_target_cell(queries, targets, d, _border_check(eps))
+    return pairs.groupBy("key").agg(
+        F.array_sort(F.collect_set("value")).alias("clusters")
+    ).withColumnRenamed("key", "id")

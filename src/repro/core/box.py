@@ -7,11 +7,13 @@ at most eps/√2.  Neighbor boxes are found by merging each strip with strips
 s±1, s±2 and comparing bounding boxes (only those strips can hold cells
 within eps).
 
-The paper parallelises the strip scan with pointer jumping (reproduced
-faithfully in ``repro.primitives.pointer_jumping`` and validated against the
-scan in tests); the production path here uses the equivalent numpy scan on
-the driver — box construction is a tiny fraction of the runtime and the scan
-output is identical by the paper's own argument (§4.2).
+The paper parallelises the strip scan with pointer jumping; this
+reproduction runs the equivalent sequential scan with numpy on the driver —
+box construction is a tiny fraction of the runtime and the scan output is
+identical by the paper's own argument (§4.2).  ``build_cells`` returns the
+boxes as the ``CellTable`` shared with grid cells (``repro.core.grid``),
+each box's quadtree root being the square at its low corner that encloses
+it.
 """
 from __future__ import annotations
 
@@ -19,6 +21,9 @@ import math
 
 import numpy as np
 import pandas as pd
+from pyspark.sql import DataFrame
+
+from repro.core.cellkernel import CellTable
 
 
 def strip_starts_scan(sorted_vals: np.ndarray, width: float) -> np.ndarray:
@@ -39,19 +44,6 @@ def strip_starts_scan(sorted_vals: np.ndarray, width: float) -> np.ndarray:
             mask[i] = True
             start = sorted_vals[i]
     return mask
-
-
-def strip_parent_links(sorted_vals: np.ndarray, width: float) -> np.ndarray:
-    """Pointer-jumping input (Figure 2b): parent[i] = index of the first
-    element whose value exceeds sorted_vals[i] + width (roots point to self).
-
-    Feeding this to ``pointer_jump_roots`` marks exactly the strip starts of
-    ``strip_starts_scan``; see tests.
-    """
-    n = len(sorted_vals)
-    parent = np.searchsorted(sorted_vals, sorted_vals + width, side="right")
-    parent[parent >= n] = np.arange(n)[parent >= n]
-    return parent
 
 
 def box_cells(points: np.ndarray, eps: float) -> tuple[np.ndarray, pd.DataFrame]:
@@ -148,42 +140,23 @@ def box_neighbor_pairs(boxes: pd.DataFrame, eps: float) -> pd.DataFrame:
     return sym[["cell", "ncell"]].reset_index(drop=True)
 
 
-def strip_starts_pointer_jumping(spark, sorted_vals: np.ndarray, width: float) -> np.ndarray:
-    """Strip-start mask via the paper's pointer-jumping routine, on DataFrames.
+def build_cells(points: DataFrame, eps: float, d: int) -> tuple[DataFrame, CellTable, pd.DataFrame]:
+    """Box cells (2D only): (pts_cells, cells, npairs).
 
-    Each node i links to parent[i] — the first point more than ``width`` to
-    its right (Figure 2b).  The leftmost point holds a 1; each round marks
-    propagate across the current links and the links double
-    (jump := jump ∘ jump), so after O(log n) rounds the marked set is exactly
-    the orbit of node 0 under ``parent``: the strip starts.  Identical output
-    to ``strip_starts_scan`` (tested); used to validate the scan, not on the
-    production path.
+    ``pts_cells`` (id, x0, x1, cell) is cached; the caller unpersists it.
+    Cell keys are ``b<box index>``.
     """
-    import pandas as pd_  # local import to keep numpy-only callers light
-    from pyspark.sql import functions as F
-
-    n = len(sorted_vals)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    parent = strip_parent_links(np.asarray(sorted_vals, dtype=np.float64), width)
-    links = spark.createDataFrame(
-        pd_.DataFrame({"node": np.arange(n), "jump": parent})
-    ).cache()
-    marks = spark.createDataFrame(pd_.DataFrame({"node": [0]}))
-    rounds = max(1, int(math.ceil(math.log2(max(n, 2)))) + 1)
-    for _ in range(rounds):
-        stepped = (
-            marks.join(links, "node")
-            .select(F.col("jump").alias("node"))
-        )
-        marks = marks.union(stepped).distinct().localCheckpoint(eager=True)
-        links = (
-            links.alias("a")
-            .join(links.alias("b"), F.col("a.jump") == F.col("b.node"))
-            .select(F.col("a.node").alias("node"), F.col("b.jump").alias("jump"))
-            .localCheckpoint(eager=True)
-        )
-    marked = sorted(r["node"] for r in marks.collect())
-    mask = np.zeros(n, dtype=bool)
-    mask[marked] = True
-    return mask
+    if d != 2:
+        raise ValueError("box construction is 2D only")
+    spark = points.sparkSession
+    xc = ["x0", "x1"]
+    pdf = points.select("id", *xc).toPandas().sort_values("id")
+    labels, boxes = box_cells(pdf[xc].to_numpy(), eps)
+    assign = pd.DataFrame({"id": pdf["id"].to_numpy(), "cell": "b" + pd.Series(labels).astype(str)})
+    pts_cells = (
+        points.join(spark.createDataFrame(assign, "id long, cell string"), "id")
+        .select("id", *xc, "cell")
+        .cache()
+    )
+    table = boxes[["cnt", "lo0", "lo1", "side"]].assign(cell="b" + boxes["box"].astype(str))
+    return pts_cells, CellTable.of(spark, table, d), box_neighbor_pairs(boxes, eps)

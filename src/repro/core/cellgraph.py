@@ -13,9 +13,12 @@ Connectivity between a pair is decided by one of the paper's methods:
 * ``delaunay`` — edges of the Delaunay triangulation over all core points,
               filtered to cross-cell edges of length ≤ eps (2D).
 
-Candidate edges are evaluated by Spark in parallel: each candidate pair
-becomes a cogroup carrying both cells' core points, processed by a numpy
-kernel.  The optimisations of §4.4 are reproduced:
+Candidate edges are evaluated by Spark in parallel through the shared
+per-target-cell kernel (``cellkernel.per_target_cell``): the responsible
+cell's core points are the queries, aimed at the other cell, and the
+per-cell test runs the chosen method once per source cell against the
+target cell's core points and root box.  The optimisations of §4.4 are
+reproduced:
 
 * connectivity-query reduction — a driver-side union-find skips pairs whose
   cells are already in the same component;
@@ -34,6 +37,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.cellkernel import CellTable, per_target_cell
 from repro.core.grid import xcols
 from repro.primitives.unionfind import UnionFind
 from repro.spatial.bcp import bcp_connected, connected_approx, connected_via_quadtree
@@ -41,95 +45,57 @@ from repro.spatial.delaunay import delaunay_edges
 from repro.spatial.usec import usec_connected
 
 
-N_EDGE_BUCKETS = 128
+def _connectivity(eps: float, method: str, rho: float):
+    """Per-cell test: the query rows aimed at cell h are the core points of
+    the responsible cells g, one edge id per (g, h); each edge is decided by
+    the chosen connectivity method on g's and h's core points."""
 
-
-def _edge_kernel(d: int, eps: float, method: str, rho: float):
-    """Bucketed kernel: each task evaluates many candidate edges, whose rows
-    are tagged (eid, side 0/1); per-edge work is the chosen connectivity
-    method on the two cells' core points."""
-    xc = xcols(d)
-    locols = [f"lo{j}" for j in range(d)]
-    empty = pd.DataFrame(
-        {"eid": pd.Series(dtype="int64"), "connected": pd.Series(dtype="boolean")}
-    )
-
-    def fn(pdf):
-        if len(pdf) == 0:
-            return empty
-        arr = pdf[xc].to_numpy(dtype=np.float64)
-        side = pdf["side"].to_numpy()
-        out_e, out_c = [], []
-        for eid, idx in pdf.groupby("eid", sort=False).indices.items():
-            sides = side[idx]
-            pa = arr[idx[sides == 0]]
-            pb_idx = idx[sides == 1]
-            pb = arr[pb_idx]
-            if len(pa) == 0 or len(pb) == 0:
-                conn = False
-            elif method == "bcp":
-                conn = bcp_connected(pa, pb, eps)
+    def test(key, q, p, box):
+        order = np.argsort(key, kind="stable")
+        eids, starts = np.unique(key[order], return_index=True)
+        conn = np.zeros(len(eids), dtype=np.int64)
+        for i, pa in enumerate(np.split(q[order], starts[1:])):
+            if method == "bcp":
+                conn[i] = bcp_connected(pa, p, eps)
             elif method == "usec":
-                conn = usec_connected(pa, pb, eps)
+                conn[i] = usec_connected(pa, p, eps)
             elif method == "qt":
-                lo = pdf.iloc[pb_idx[0]][locols].to_numpy(dtype=np.float64)
-                conn = connected_via_quadtree(
-                    pa, pb, eps, lo, float(pdf["side_box"].iloc[pb_idx[0]])
-                )
+                conn[i] = connected_via_quadtree(pa, p, eps, box[:-1], float(box[-1]))
             elif method == "approx":
-                lo = pdf.iloc[pb_idx[0]][locols].to_numpy(dtype=np.float64)
-                conn = connected_approx(
-                    pa, pb, eps, rho, lo, float(pdf["side_box"].iloc[pb_idx[0]])
-                )
+                conn[i] = connected_approx(pa, p, eps, rho, box[:-1], float(box[-1]))
             else:  # pragma: no cover - guarded by dbscan()
                 raise ValueError(method)
-            out_e.append(eid)
-            out_c.append(bool(conn))
-        return pd.DataFrame({"eid": out_e, "connected": out_c})
+        return eids, conn
 
-    return fn
+    return test
 
 
-def _evaluate_edges(
+def _connected_edges(
     spark,
     edges: pd.DataFrame,
     core_pts: DataFrame,
-    boxes: pd.DataFrame,
+    cells: CellTable,
     d: int,
     eps: float,
     method: str,
     rho: float,
 ) -> set[int]:
-    """Run the connectivity kernel for a batch of candidate edges in parallel.
+    """Decide a batch of candidate edges in parallel; returns the connected eids.
 
-    ``edges``: pandas (eid, gcell, hcell).  Returns the set of eids connected.
+    ``edges``: pandas (eid, gcell, hcell), gcell the responsible cell.
     """
     if len(edges) == 0:
         return set()
     xc = xcols(d)
-    locols = [f"lo{j}" for j in range(d)]
-    edf = spark.createDataFrame(edges[["eid", "gcell", "hcell"]])
-    bx = spark.createDataFrame(
-        boxes.rename(columns={"side": "side_box"})[["cell"] + locols + ["side_box"]]
+    edf = spark.createDataFrame(edges[["eid", "gcell", "hcell"]], "eid long, gcell string, hcell string")
+    queries = edf.join(core_pts, edf.gcell == core_pts.cell).select(
+        F.col("eid").alias("key"), F.col("hcell").alias("tcell"), *xc
     )
-    pts_g = (
-        edf.join(core_pts, edf.gcell == core_pts.cell)
-        .select("eid", F.lit(0).alias("side"), *xc)
-        .withColumns({c: F.lit(0.0) for c in locols})
-        .withColumn("side_box", F.lit(0.0))
+    targets = core_pts.join(cells.df, "cell").select(
+        "cell", *xc, *[f"lo{j}" for j in range(d)], "side"
     )
-    pts_h = (
-        edf.join(core_pts, edf.hcell == core_pts.cell)
-        .join(bx, core_pts.cell == bx.cell)
-        .select("eid", F.lit(1).alias("side"), *xc, *locols, "side_box")
-    )
-    both = pts_g.unionByName(pts_h).withColumn(
-        "bucket", F.pmod(F.col("eid"), F.lit(N_EDGE_BUCKETS))
-    )
-    res = both.groupBy("bucket").applyInPandas(
-        _edge_kernel(d, eps, method, rho), "eid long, connected boolean"
-    )
-    return {r["eid"] for r in res.collect() if r["connected"]}
+    res = per_target_cell(queries, targets, d, _connectivity(eps, method, rho))
+    return {r["key"] for r in res.where(F.col("value") == 1).collect()}
 
 
 def build_cell_graph(
@@ -137,7 +103,7 @@ def build_cell_graph(
     core_pts: DataFrame,
     core_cells: pd.DataFrame,
     npairs: pd.DataFrame,
-    boxes: pd.DataFrame,
+    cells: CellTable,
     d: int,
     eps: float,
     method: str = "bcp",
@@ -152,12 +118,12 @@ def build_cell_graph(
     core_pts   : DataFrame (cell, x*) of core points only (cached upstream).
     core_cells : pandas (cell, core_cnt) — cells with ≥ 1 core point.
     npairs     : pandas neighbor pairs (cell, ncell) over all non-empty cells.
-    boxes      : pandas per-cell quadtree root boxes (cell, lo*, side).
+    cells      : the call's cell table (quadtree root box per cell).
     """
-    cells = core_cells.sort_values("cell", kind="stable").reset_index(drop=True)
-    idx = {c: i for i, c in enumerate(cells["cell"])}
-    counts = dict(zip(cells["cell"], cells["core_cnt"]))
-    uf = UnionFind(len(cells))
+    vertices = core_cells.sort_values("cell", kind="stable").reset_index(drop=True)
+    idx = {c: i for i, c in enumerate(vertices["cell"])}
+    counts = dict(zip(vertices["cell"], vertices["core_cnt"]))
+    uf = UnionFind(len(vertices))
 
     # Candidate edges: neighboring core-cell pairs, deduplicated; the
     # responsible cell (more core points, ties by key) is first.
@@ -170,7 +136,7 @@ def build_cell_graph(
             continue
         seen.add((a, b))
         edges.append((a, b))
-    stats: dict[str, object] = {"n_core_cells": len(cells), "n_candidate_edges": len(edges)}
+    stats: dict[str, object] = {"n_core_cells": len(vertices), "n_candidate_edges": len(edges)}
 
     if method == "delaunay":
         connected = _delaunay_cell_edges(core_pts, d, eps)
@@ -184,7 +150,7 @@ def build_cell_graph(
         edf = pd.DataFrame(
             {"eid": range(len(edges)), "gcell": [e[0] for e in edges], "hcell": [e[1] for e in edges]}
         )
-        conn = _evaluate_edges(spark, edf, core_pts, boxes, d, eps, method, rho)
+        conn = _connected_edges(spark, edf, core_pts, cells, d, eps, method, rho)
         stats["n_evaluated"] = len(edges)
         for eid in conn:
             g, h = edges[eid]
@@ -212,7 +178,7 @@ def build_cell_graph(
                     "hcell": [edges[e][1] for e in batch_ids],
                 }
             )
-            conn = _evaluate_edges(spark, edf, core_pts, boxes, d, eps, method, rho)
+            conn = _connected_edges(spark, edf, core_pts, cells, d, eps, method, rho)
             n_evaluated += len(batch_ids)
             for eid in conn:
                 g, h = edges[eid]

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -35,6 +34,9 @@ from repro.core import grid
 from repro.core.border import cluster_border
 from repro.core.cellgraph import build_cell_graph
 from repro.core.mark_core import mark_core
+
+# Cell construction (§4.1 grid, §4.2 box): points -> (pts_cells, cells, npairs).
+CELL_METHODS = {"grid": grid.build_cells, "box": boxmod.build_cells}
 
 
 def dbscan(
@@ -58,40 +60,16 @@ def dbscan(
     stats: dict[str, object] = {}
 
     # ---- cells ----------------------------------------------------------
-    if cell_method == "grid":
-        pts_cells = grid.with_cells(points, eps, d).select("id", *xc, *grid.ccols(d), "cell")
-        pts_cells = pts_cells.cache()
-        cells = grid.cell_table(pts_cells, d)
-        npairs = grid.neighbor_pairs(cells, d)
-        boxes = grid.cell_boxes(cells, eps, d)
-        pts_cells = pts_cells.select("id", *xc, "cell")
-    elif cell_method == "box":
-        if d != 2:
-            raise ValueError("box construction is 2D only")
-        pdf = points.select("id", *xc).toPandas().sort_values("id")
-        labels, box_tbl = boxmod.box_cells(pdf[xc].to_numpy(), eps)
-        assign = pd.DataFrame({"id": pdf["id"].to_numpy(), "cell": "b" + pd.Series(labels).astype(str)})
-        pts_cells = points.join(spark.createDataFrame(assign), "id").select("id", *xc, "cell")
-        pts_cells = pts_cells.cache()
-        cells = pd.DataFrame({"cell": "b" + box_tbl["box"].astype(str), "cnt": box_tbl["cnt"]})
-        npairs = boxmod.box_neighbor_pairs(box_tbl, eps)
-        boxes = pd.DataFrame(
-            {
-                "cell": "b" + box_tbl["box"].astype(str),
-                "lo0": box_tbl["lo0"],
-                "lo1": box_tbl["lo1"],
-                "side": box_tbl["side"],
-            }
-        )
-    else:
+    if cell_method not in CELL_METHODS:
         raise ValueError(cell_method)
+    pts_cells, cells, npairs = CELL_METHODS[cell_method](points, eps, d)
     t1 = time.perf_counter()
-    stats["n_cells"] = len(cells)
+    stats["n_cells"] = len(cells.pdf)
     stats["t_cells"] = t1 - t0
 
     # ---- mark core ------------------------------------------------------
     flags = mark_core(
-        spark, pts_cells, d, eps, min_pts, npairs, boxes, use_quadtree=markcore_quadtree
+        spark, pts_cells, d, eps, min_pts, npairs, cells, use_quadtree=markcore_quadtree
     ).cache()
     flags.count()
     t2 = time.perf_counter()
@@ -112,7 +90,7 @@ def dbscan(
         core_pts.select("cell", *xc),
         core_cells,
         npairs,
-        boxes,
+        cells,
         d,
         eps,
         method=gmethod,
@@ -149,7 +127,8 @@ def dbscan(
     stats["t_border"] = t4 - t3
     stats["t_total"] = t4 - t0
 
-    pts_cells.unpersist()
+    for cached in (pts_cells, flags, core_pts, core_clustered):
+        cached.unpersist()
     if return_stats:
         return result, stats
     return result

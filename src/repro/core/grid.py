@@ -4,10 +4,11 @@ Points are placed in disjoint d-dimensional cells of side eps/√d, so that any
 two points in the same cell are within eps of each other.  The paper
 semisorts (cell-id, point-id) pairs and stores non-empty cells in a parallel
 hash table; here the cell id is computed with pure Catalyst expressions
-(``floor(x_j / side)``) and the semisort is Spark's shuffle ``groupBy``
-(see ``repro.primitives.semisort``).  The non-empty-cell table — O(#cells),
-orders of magnitude smaller than the input — is collected to the driver,
-which plays the role of the paper's cell hash table.
+(``floor(x_j / side)``) and the semisort is the shuffle ``groupBy`` that
+counts the points per cell.  The non-empty-cell table — O(#cells), orders
+of magnitude smaller than the input — is collected to the driver, which
+plays the role of the paper's cell hash table; ``build_cells`` returns it
+as the ``CellTable`` shared with box cells (``repro.core.box``).
 
 Neighbor cells (cells that can contain a point within eps of a point in the
 current cell) are found either by enumerating integer offsets (feasible for
@@ -25,6 +26,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.cellkernel import CellTable
 from repro.spatial.kdtree import KDTree
 
 
@@ -48,6 +50,22 @@ def with_cells(points: DataFrame, eps: float, d: int) -> DataFrame:
     for j in range(d):
         out = out.withColumn(f"c{j}", F.floor(F.col(f"x{j}") / F.lit(side)).cast("long"))
     return out.withColumn("cell", F.concat_ws(",", *[F.col(c).cast("string") for c in ccols(d)]))
+
+
+def build_cells(points: DataFrame, eps: float, d: int) -> tuple[DataFrame, CellTable, pd.DataFrame]:
+    """Grid cells: (pts_cells, cells, npairs).
+
+    ``pts_cells`` (id, x*, c*, cell) is cached; the caller unpersists it.
+    Each cell's quadtree root box is the cell itself.
+    """
+    pts_cells = with_cells(points, eps, d).select("id", *xcols(d), *ccols(d), "cell").cache()
+    table = cell_table(pts_cells, d)
+    side = cell_side(eps, d)
+    for j in range(d):
+        table[f"lo{j}"] = table[f"c{j}"].to_numpy(dtype=np.float64) * side
+    table["side"] = side
+    npairs = neighbor_pairs(table, d)
+    return pts_cells, CellTable.of(points.sparkSession, table, d), npairs
 
 
 def cell_table(pts_cells: DataFrame, d: int) -> pd.DataFrame:
@@ -136,13 +154,3 @@ def neighbor_pairs(cells: pd.DataFrame, d: int) -> pd.DataFrame:
     if d <= 3:
         return neighbor_pairs_enum(cells, d)
     return neighbor_pairs_kdtree(cells, d)
-
-
-def cell_boxes(cells: pd.DataFrame, eps: float, d: int) -> pd.DataFrame:
-    """Per-cell square box (lo0..lo{d-1}, side) for quadtree roots."""
-    side = cell_side(eps, d)
-    out = cells[["cell"]].copy()
-    for j in range(d):
-        out[f"lo{j}"] = cells[f"c{j}"].to_numpy(dtype=np.float64) * side
-    out["side"] = side
-    return out

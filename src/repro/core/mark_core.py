@@ -4,13 +4,12 @@ Dense cells (≥ minPts points) mark all their points core directly — any two
 points in a cell are within eps.  Points of sparse cells count neighbors:
 their own cell's full count plus a RangeCount against each neighboring cell.
 
-The RangeCount fan-out is the paper's data-parallel loop expressed as a
-cogrouped ``applyInPandas``.  Cells are hashed into a fixed number of
-buckets and the cogroup runs per *bucket*, so each Spark task serves many
-cells through a local dict index (the mapPartitions-with-local-grid-index
-idiom): per-group overhead is amortised while the computation per cell —
-a vectorised scan (our-exact) or a per-cell quadtree (our-exact-qt, §5.2) —
-stays identical to the paper's.
+Both counts come from the cell table: the driver copy says whether any
+sparse cell exists at all, the Spark copy gives each point its cell's count.
+The RangeCount fan-out is the shared per-target-cell kernel
+(``cellkernel.per_target_cell``); MarkCore's per-cell test is a vectorised
+scan (our-exact) or a per-cell quadtree rooted at the cell's box
+(our-exact-qt, §5.2).
 """
 from __future__ import annotations
 
@@ -19,60 +18,23 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.cellkernel import CellTable, count_within, per_target_cell
 from repro.core.grid import xcols
 from repro.spatial.quadtree import QuadTree
 
-N_BUCKETS = 256
 
+def _range_count(eps: float, use_quadtree: bool):
+    """Per-cell test: each query's count of the target cell's points within eps."""
 
-def _bucket(col):
-    """Deterministic bucket id for a cell key column."""
-    return F.pmod(F.xxhash64(col), F.lit(N_BUCKETS))
+    def test(key, q, p, box):
+        if use_quadtree and len(p) > 32:
+            qt = QuadTree(p, box[:-1], float(box[-1]))
+            cnt = np.fromiter((qt.range_count(row, eps) for row in q), dtype=np.int64, count=len(q))
+        else:
+            cnt = count_within(q, p, eps)
+        return key, cnt
 
-
-def _range_count_fn(d: int, eps: float, use_quadtree: bool):
-    """Bucketed cogroup kernel.  Left: queries (id, coords, tcell); right:
-    points of the bucket's cells (rcell, coords, box lo/side)."""
-    xc = xcols(d)
-    locols = [f"rlo{j}" for j in range(d)]
-    rxc = [f"r{c}" for c in xc]
-    empty = pd.DataFrame({"qid": pd.Series(dtype="int64"), "cnt": pd.Series(dtype="int64")})
-
-    def fn(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-        if len(left) == 0 or len(right) == 0:
-            return empty
-        eps2 = eps * eps
-        p_all = right[rxc].to_numpy(dtype=np.float64)
-        q_all = left[xc].to_numpy(dtype=np.float64)
-        id_all = left["id"].to_numpy()
-        out_q, out_c = [], []
-        rgroups = right.groupby("rcell", sort=False).indices
-        for tcell, lidx in left.groupby("tcell", sort=False).indices.items():
-            ridx = rgroups.get(tcell)
-            if ridx is None:
-                continue
-            q = q_all[lidx]
-            p = p_all[ridx]
-            if use_quadtree and len(p) > 32:
-                lo = right.iloc[ridx[0]][locols].to_numpy(dtype=np.float64)
-                side = float(right["rside"].iloc[ridx[0]])
-                qt = QuadTree(p, lo, side)
-                cnt = np.fromiter(
-                    (qt.range_count(row, eps) for row in q), dtype=np.int64, count=len(q)
-                )
-            else:
-                cnt = np.zeros(len(q), dtype=np.int64)
-                block = max(1, (1 << 22) // max(len(p), 1))
-                for i in range(0, len(q), block):
-                    d2 = ((q[i : i + block, None, :] - p[None, :, :]) ** 2).sum(axis=2)
-                    cnt[i : i + block] = (d2 <= eps2).sum(axis=1)
-            out_q.append(id_all[lidx])
-            out_c.append(cnt)
-        if not out_q:
-            return empty
-        return pd.DataFrame({"qid": np.concatenate(out_q), "cnt": np.concatenate(out_c)})
-
-    return fn
+    return test
 
 
 def mark_core(
@@ -82,7 +44,7 @@ def mark_core(
     eps: float,
     min_pts: int,
     npairs: pd.DataFrame,
-    boxes: pd.DataFrame,
+    cells: CellTable,
     use_quadtree: bool = False,
 ) -> DataFrame:
     """Return DataFrame (id, is_core) for all points.
@@ -91,56 +53,26 @@ def mark_core(
     ----------
     pts_cells : points with ``cell`` key (id, x*, cell).
     npairs    : driver neighbor-pair table (cell, ncell), both directions.
-    boxes     : per-cell square box (cell, lo*, side) for quadtree roots.
+    cells     : the call's cell table (count and quadtree root box per cell).
     """
     xc = xcols(d)
-    stats = pts_cells.groupBy("cell").agg(F.count("*").alias("cnt"))
-    dense = stats.where(F.col("cnt") >= min_pts).select("cell")
-    core_dense = pts_cells.join(dense, "cell").select("id", F.lit(True).alias("is_core"))
+    if (cells.pdf["cnt"] >= min_pts).all():  # no sparse cell: every point is core
+        return pts_cells.select("id", F.lit(True).alias("is_core"))
 
-    sparse = pts_cells.join(dense, "cell", "left_anti").select("id", "cell", *xc)
-    if sparse.isEmpty():
-        return core_dense
-
+    pts = pts_cells.select("id", *xc, "cell").join(cells.df, "cell")
+    core_dense = pts.where(F.col("cnt") >= min_pts).select("id", F.lit(True).alias("is_core"))
+    sparse = pts.where(F.col("cnt") < min_pts)
+    counts = sparse.select(F.col("id").alias("key"), F.col("cnt").alias("value"))
     if len(npairs):
-        npairs_df = spark.createDataFrame(npairs)
-        queries = (
-            sparse.join(npairs_df, "cell")
-            .select("id", *xc, F.col("ncell").alias("tcell"))
-            .withColumn("bucket", _bucket(F.col("tcell")))
+        queries = sparse.join(spark.createDataFrame(npairs), "cell").select(
+            F.col("id").alias("key"), F.col("ncell").alias("tcell"), *xc
         )
-        # Rename the right side's columns so the cogroup's two branches (both
-        # derived from pts_cells) carry distinct attributes.
-        right = (
-            pts_cells.select(
-                F.col("cell").alias("rcell"), *[F.col(c).alias(f"r{c}") for c in xc]
-            )
-            .join(
-                spark.createDataFrame(boxes).select(
-                    F.col("cell").alias("rcell"),
-                    *[F.col(f"lo{j}").alias(f"rlo{j}") for j in range(d)],
-                    F.col("side").alias("rside"),
-                ),
-                "rcell",
-            )
-            .withColumn("bucket", _bucket(F.col("rcell")))
+        targets = pts.select("cell", *xc, *[f"lo{j}" for j in range(d)], "side")
+        counts = counts.unionByName(
+            per_target_cell(queries, targets, d, _range_count(eps, use_quadtree))
         )
-        counted = (
-            queries.groupBy("bucket")
-            .cogroup(right.groupBy("bucket"))
-            .applyInPandas(_range_count_fn(d, eps, use_quadtree), "qid long, cnt long")
-        )
-        nbr_counts = counted.groupBy("qid").agg(F.sum("cnt").alias("nbr_cnt"))
-    else:
-        nbr_counts = None
-
-    own = sparse.join(stats, "cell").select("id", F.col("cnt").alias("own_cnt"))
-    if nbr_counts is not None:
-        total = own.join(nbr_counts, own.id == nbr_counts.qid, "left").select(
-            "id",
-            (F.col("own_cnt") + F.coalesce(F.col("nbr_cnt"), F.lit(0))).alias("total"),
-        )
-    else:
-        total = own.select("id", F.col("own_cnt").alias("total"))
-    core_sparse = total.select("id", (F.col("total") >= min_pts).alias("is_core"))
+    total = counts.groupBy("key").agg(F.sum("value").alias("total"))
+    core_sparse = total.select(
+        F.col("key").alias("id"), (F.col("total") >= min_pts).alias("is_core")
+    )
     return core_dense.unionByName(core_sparse)

@@ -7,7 +7,6 @@ plain numpy.  Three variants, matching the paper's implementations:
   two optimisations: (1) pre-filter points farther than eps from the other
   cell's bounding box, (2) early exit on the first block pair containing a
   pair within eps.
-* ``bcp`` — full BCP (pair indices + distance), used by tests.
 * ``connected_via_quadtree`` — our-exact-qt: RangeCount queries against a
   quadtree built on the other cell's (core) points; connect iff some query
   returns a non-zero count.
@@ -54,23 +53,6 @@ def bcp_connected(a: np.ndarray, b: np.ndarray, eps: float) -> bool:
             if (d2 <= eps2).any():
                 return True
     return False
-
-
-def bcp(a: np.ndarray, b: np.ndarray) -> tuple[int, int, float]:
-    """Full bichromatic closest pair: (index in a, index in b, distance)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("bcp of empty set")
-    best = (0, 0, np.inf)
-    for i in range(0, len(a), _BLOCK):
-        ab = a[i : i + _BLOCK]
-        d2 = ((ab[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        k = int(np.argmin(d2))
-        bi, bj = divmod(k, d2.shape[1])
-        if d2[bi, bj] < best[2] ** 2:
-            best = (i + bi, bj, float(np.sqrt(d2[bi, bj])))
-    return best
 
 
 def connected_via_quadtree(

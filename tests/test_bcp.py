@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spatial.bcp import bcp, bcp_connected, connected_approx, connected_via_quadtree
+from repro.spatial.bcp import bcp_connected, connected_approx, connected_via_quadtree
 
 
 def _brute_min(a, b):
@@ -44,19 +44,6 @@ def test_blocking_spans_blocks():
     b[170] = [50.2, 50.0]
     assert bcp_connected(a, b, 0.3)
     assert not bcp_connected(a, b, 0.1)
-
-
-def test_bcp_pair_and_distance():
-    a = np.array([[0.0, 0.0], [5.0, 5.0]])
-    b = np.array([[10.0, 10.0], [5.0, 6.0]])
-    ia, ib, dist = bcp(a, b)
-    assert (ia, ib) == (1, 1)
-    assert dist == pytest.approx(1.0)
-
-
-def test_bcp_raises_on_empty():
-    with pytest.raises(ValueError):
-        bcp(np.empty((0, 2)), np.array([[0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

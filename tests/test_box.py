@@ -34,29 +34,6 @@ def test_strip_width_invariant():
             assert vals[starts[i + 1]] - vals[starts[i]] > w  # next start is far
 
 
-def test_parent_links():
-    vals = np.array([0.0, 0.5, 2.0, 2.2, 5.0])
-    parent = boxmod.strip_parent_links(vals, 1.0)
-    # first index with val > v+1: for 0.0 -> idx2; 0.5 -> idx2; 2.0 -> idx4;
-    # 2.2 -> idx4; 5.0 -> root (self)
-    assert parent.tolist() == [2, 2, 4, 4, 4]
-
-
-def test_pointer_jumping_equals_scan(spark):
-    rng = np.random.default_rng(1)
-    vals = np.sort(rng.random(300) * 30)
-    w = 1.5
-    scan = boxmod.strip_starts_scan(vals, w)
-    pj = boxmod.strip_starts_pointer_jumping(spark, vals, w)
-    assert np.array_equal(scan, pj)
-
-
-def test_pointer_jumping_single_strip(spark):
-    vals = np.array([0.0, 0.1, 0.2])
-    pj = boxmod.strip_starts_pointer_jumping(spark, vals, 1.0)
-    assert pj.tolist() == [True, False, False]
-
-
 def test_box_cells_partition_and_side():
     pts = sd.seed_spreader(800, 2, seed=2)
     eps = 250.0

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro import synth_data as sd
-from repro.core.dbscan import dbscan, dbscan_variant
+from repro.core.dbscan import VARIANTS, dbscan, dbscan_variant
 from repro.core.validate import assert_same_clustering, canonical_labels, result_to_pandas
 
 
@@ -63,19 +63,42 @@ def test_eps_huge_single_cluster(spark):
     assert len({next(iter(l)) for l in labels}) == 1
 
 
-def test_single_point(spark):
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_single_point(spark, variant):
     pts = np.array([[1.0, 2.0]])
-    res = _run_and_check(spark, pts, 1.0, 1, 2)
+    res = dbscan_variant(spark, sd.points_df(spark, pts), 1.0, 1, 2, variant)
+    assert_same_clustering(res, pts, 1.0, 1)
     pdf = result_to_pandas(res)
     assert pdf["is_core"].tolist() == [True]
 
 
-def test_single_point_noise(spark):
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_single_point_noise(spark, variant):
     pts = np.array([[1.0, 2.0]])
-    res = _run_and_check(spark, pts, 1.0, 2, 2)
+    res = dbscan_variant(spark, sd.points_df(spark, pts), 1.0, 2, 2, variant)
+    assert_same_clustering(res, pts, 1.0, 2)
     pdf = result_to_pandas(res)
     assert pdf["is_core"].tolist() == [False]
     assert pdf["clusters"].tolist() == [()]
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_empty_input(spark, variant):
+    res = dbscan_variant(spark, sd.points_df(spark, np.empty((0, 2))), 1.0, 1, 2, variant)
+    assert res.columns == ["id", "is_core", "clusters"]
+    assert res.count() == 0
+
+
+@pytest.mark.parametrize("cell_method", ["grid", "box"])
+def test_leaves_only_result_cached(spark, cell_method):
+    """dbscan() unpersists every intermediate it caches; only the returned
+    result stays cached until the caller unpersists it."""
+    jsc = spark.sparkContext._jsc
+    before = jsc.getPersistentRDDs().size()
+    pts = sd.seed_spreader(200, 2, seed=29)
+    res = dbscan(spark, sd.points_df(spark, pts), 250.0, 8, 2, cell_method=cell_method)
+    res.unpersist()
+    assert jsc.getPersistentRDDs().size() == before
 
 
 def test_duplicate_points(spark):
@@ -146,7 +169,7 @@ def test_stats_present(spark):
     pts = sd.seed_spreader(200, 2, seed=27)
     res, stats = dbscan(spark, sd.points_df(spark, pts), 250.0, 8, 2, return_stats=True)
     for k in ("n_cells", "t_cells", "t_markcore", "t_clustercore", "t_border", "t_total",
-              "n_core_cells", "n_candidate_edges", "n_clusters"):
+              "n_core_cells", "n_candidate_edges", "n_evaluated", "n_clusters"):
         assert k in stats
     assert stats["t_total"] > 0
 

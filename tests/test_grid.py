@@ -145,10 +145,8 @@ def test_neighbor_pairs_single_cell():
 def test_cell_boxes_contain_points(spark):
     pts = sd.seed_spreader(300, 3, seed=8)
     eps = 400.0
-    df = grid.with_cells(sd.points_df(spark, pts), eps, 3)
-    cells = grid.cell_table(df, 3)
-    boxes = grid.cell_boxes(cells, eps, 3)
-    pdf = df.toPandas().merge(boxes, on="cell")
+    df, cells, _ = grid.build_cells(sd.points_df(spark, pts), eps, 3)
+    pdf = df.toPandas().merge(cells.df.toPandas(), on="cell")
     for j in range(3):
         assert (pdf[f"x{j}"] >= pdf[f"lo{j}"] - 1e-9).all()
         assert (pdf[f"x{j}"] <= pdf[f"lo{j}"] + pdf["side"] + 1e-9).all()
