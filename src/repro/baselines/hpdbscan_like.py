@@ -179,6 +179,8 @@ def hpdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int, n_slabs
             F.coalesce("is_core", F.lit(False)).alias("is_core"),
             F.coalesce("clusters", F.array().cast("array<long>")).alias("clusters"),
         )
-    )
-    slabbed.unpersist()
+    ).cache()
+    out.count()
+    for cached in (slabbed, flags, local):
+        cached.unpersist()
     return out

@@ -100,9 +100,7 @@ def _merge_kernel(d: int, eps: float):
 def pdsdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int) -> DataFrame:
     """Run the PDSDBSCAN-style baseline; output (id, is_core, clusters)."""
     xc = grid.xcols(d)
-    pts_cells = grid.with_cells(points, eps, d).select("id", *xc, "cell").cache()
-    cells = grid.cell_table(grid.with_cells(points, eps, d), d)
-    npairs = grid.neighbor_pairs(cells, d)
+    pts_cells, _, npairs = grid.build_cells(points, eps, d)
 
     # Queries: every point against own cell and all neighbors.
     own = pts_cells.select("id", *xc, F.col("cell").alias("tcell"))
@@ -179,6 +177,8 @@ def pdsdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int) -> Dat
             F.coalesce("is_core", F.lit(False)).alias("is_core"),
             F.coalesce("clusters", F.array().cast("array<long>")).alias("clusters"),
         )
-    )
-    queries.unpersist()
+    ).cache()
+    out.count()
+    for cached in (pts_cells, queries, flags):
+        cached.unpersist()
     return out

@@ -144,15 +144,13 @@ def _partition_kernel(d: int, eps: float, min_pts: int):
 def rpdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int, n_parts: int = 32) -> DataFrame:
     """Run the RP-DBSCAN-style baseline; output (id, is_core, clusters)."""
     xc = grid.xcols(d)
-    pts_cells = grid.with_cells(points, eps, d).select("id", *xc, "cell").cache()
-    cells = grid.cell_table(grid.with_cells(points, eps, d), d)
-    npairs = grid.neighbor_pairs(cells, d)
+    pts_cells, cells, npairs = grid.build_cells(points, eps, d)
 
     # Pseudo-random cell -> partition map (driver-side dictionary, as
     # RP-DBSCAN's "pseudo random partitioning" builds a cell dictionary).
     rng = np.random.default_rng(0)
     part_of = pd.DataFrame(
-        {"cell": cells["cell"], "part": rng.integers(0, n_parts, len(cells))}
+        {"cell": cells.pdf["cell"], "part": rng.integers(0, n_parts, len(cells.pdf))}
     )
     own = pts_cells.join(spark.createDataFrame(part_of), "cell").select(
         "part", F.lit(True).alias("home"), "cell", "id", *xc
@@ -238,5 +236,8 @@ def rpdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int, n_parts
             F.coalesce("is_core", F.lit(False)).alias("is_core"),
             F.coalesce("clusters", F.array().cast("array<long>")).alias("clusters"),
         )
-    )
+    ).cache()
+    out.count()
+    for cached in (pts_cells, raw):
+        cached.unpersist()
     return out

@@ -1,15 +1,18 @@
-"""Parallel ClusterBorder (Algorithm 4) on Spark DataFrames.
+"""Parallel ClusterBorder (Algorithm 4) on Spark DataFrames; labels every point.
 
-Every non-core point p (necessarily in a sparse cell) checks the core points
-of its own cell and of each neighboring cell; for each such cell with a core
-point within eps, p joins that cell's cluster.  Border points can belong to
-several clusters (§2), so the result is a per-point set of cluster labels.
+Core points take their cell's cluster through one join with the small
+``(cell, cluster)`` table of the cell graph.  A non-core point p checks the
+core points of its own cell and of each neighboring cell; for each such cell
+with a core point within eps, p joins that cell's cluster.  Border points can
+belong to several clusters (§2), so the result is a per-point set of labels.
 
-The check is the shared per-target-cell kernel
-(``cellkernel.per_target_cell``): queries aimed at a cell meet that cell's
-core points — which all share one cluster label, cells being the cell-graph
-vertices — and the per-cell test is a vectorised any-within-eps scan that
-yields (point, cluster) pairs, deduplicated by a shuffle ``collect_set``.
+The driver picks the cell pairs from the cell table: each cell holding a
+non-core point (``cnt > core_cnt``) is paired with itself and its neighbors,
+and a pair is kept only when its target holds core points.  Only those pairs
+meet in the shared per-target-cell kernel (``cellkernel.per_target_cell``),
+whose per-cell test is a vectorised any-within-eps scan yielding (point,
+cluster) pairs, deduplicated by a shuffle ``collect_set``.  With no pair,
+no border check runs and every non-core point is noise.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.cellkernel import count_within, per_target_cell
+from repro.core.cellkernel import CellTable, count_within, per_target_cell
 from repro.core.grid import xcols
 
 
@@ -33,42 +36,67 @@ def _border_check(eps: float):
     return test
 
 
+def _border_pairs(
+    cells: CellTable, core_cells: pd.DataFrame, npairs: pd.DataFrame
+) -> pd.DataFrame:
+    """Driver table (cell, tcell): each cell holding a non-core point, paired
+    with itself and its neighbors that hold core points."""
+    core_cnt = cells.pdf["cell"].map(dict(zip(core_cells["cell"], core_cells["core_cnt"])))
+    sources = cells.pdf.loc[cells.pdf["cnt"] > core_cnt.fillna(0), ["cell"]]
+    pairs = pd.concat(
+        [sources.assign(tcell=sources["cell"]),
+         sources.merge(npairs, on="cell").rename(columns={"ncell": "tcell"})],
+        ignore_index=True,
+    )
+    return pairs[pairs["tcell"].isin(core_cells["cell"])]
+
+
 def cluster_border(
     spark,
-    pts_cells: DataFrame,
-    core_flags: DataFrame,
-    core_clustered: DataFrame,
+    flagged: DataFrame,
+    labels: dict[str, int],
+    core_cells: pd.DataFrame,
+    cells: CellTable,
+    npairs: pd.DataFrame,
     d: int,
     eps: float,
-    npairs: pd.DataFrame,
 ) -> DataFrame:
-    """Assign cluster sets to border points.
+    """Label every point: DataFrame (id, is_core, clusters array<long>).
 
     Parameters
     ----------
-    pts_cells      : all points with cells (id, x*, cell).
-    core_flags     : (id, is_core).
-    core_clustered : core points with labels (id, cell, x*, cluster).
+    flagged    : the per-point frame (id, cell, x*, is_core) from MarkCore.
+    labels     : cell -> cluster label of every core cell.
+    core_cells : pandas (cell, core_cnt) — cells with ≥ 1 core point.
+    npairs     : driver neighbor-pair table (cell, ncell), both directions.
 
-    Returns
-    -------
-    DataFrame (id, clusters array<long>) for non-core points that belong to
-    at least one cluster (border points). Noise points are absent.
+    Noise points get an empty array.
     """
-    xc = xcols(d)
-    noncore = pts_cells.join(core_flags.where(~F.col("is_core")).select("id"), "id").select(
-        F.col("id").alias("key"), "cell", *xc
+    noise = F.array().cast("array<long>")
+    noncore = flagged.where(~F.col("is_core"))
+    if not labels:  # no core point: every point is noise
+        return noncore.select("id", "is_core", noise.alias("clusters"))
+    lbl = pd.DataFrame({"cell": list(labels), "cluster": list(labels.values())})
+    core = flagged.where("is_core").join(
+        spark.createDataFrame(lbl, "cell string, cluster long"), "cell"
     )
-    # Targets: own cell plus neighbors.
-    queries = noncore.withColumnRenamed("cell", "tcell")
-    if len(npairs):
-        queries = queries.unionByName(
-            noncore.join(spark.createDataFrame(npairs), "cell").select(
-                "key", F.col("ncell").alias("tcell"), *xc
-            )
+    pairs = _border_pairs(cells, core_cells, npairs)
+    if len(pairs):
+        xc = xcols(d)
+        tcells = spark.createDataFrame(pairs[["tcell"]].drop_duplicates(), "cell string")
+        border = per_target_cell(
+            noncore.join(spark.createDataFrame(pairs, "cell string, tcell string"), "cell")
+            .select(F.col("id").alias("key"), "tcell", *xc),
+            core.join(tcells, "cell").select("cell", *xc, "cluster"),
+            d,
+            _border_check(eps),
+        ).groupBy(F.col("key").alias("id")).agg(
+            F.array_sort(F.collect_set("value")).alias("clusters")
         )
-    targets = core_clustered.select("cell", *xc, "cluster")
-    pairs = per_target_cell(queries, targets, d, _border_check(eps))
-    return pairs.groupBy("key").agg(
-        F.array_sort(F.collect_set("value")).alias("clusters")
-    ).withColumnRenamed("key", "id")
+        noncore = noncore.join(border, "id", "left").withColumn(
+            "clusters", F.coalesce("clusters", noise)
+        )
+    else:
+        noncore = noncore.withColumn("clusters", noise)
+    core = core.select("id", "is_core", F.array("cluster").alias("clusters"))
+    return core.unionByName(noncore.select("id", "is_core", "clusters"))

@@ -26,9 +26,9 @@ reproduced:
   points, ties by id);
 * *bucketing* — cells are sorted by core-point count (non-increasing) and
   processed in batches; between batches the union-find prunes queries that
-  earlier batches made redundant.  Without bucketing all candidate pairs are
-  evaluated in a single parallel round (the racy-parallel behaviour the
-  paper describes).
+  earlier batches made redundant.  Without bucketing the same loop runs one
+  batch of all candidate pairs, evaluated in a single parallel round (the
+  racy-parallel behaviour the paper describes).
 """
 from __future__ import annotations
 
@@ -72,7 +72,7 @@ def _connectivity(eps: float, method: str, rho: float):
 
 def _connected_edges(
     spark,
-    edges: pd.DataFrame,
+    edges: list[tuple[int, str, str]],
     core_pts: DataFrame,
     cells: CellTable,
     d: int,
@@ -80,14 +80,13 @@ def _connected_edges(
     method: str,
     rho: float,
 ) -> set[int]:
-    """Decide a batch of candidate edges in parallel; returns the connected eids.
-
-    ``edges``: pandas (eid, gcell, hcell), gcell the responsible cell.
-    """
-    if len(edges) == 0:
-        return set()
+    """Decide a batch of candidate edges (eid, gcell, hcell) in parallel,
+    gcell the responsible cell; returns the connected eids."""
     xc = xcols(d)
-    edf = spark.createDataFrame(edges[["eid", "gcell", "hcell"]], "eid long, gcell string, hcell string")
+    edf = spark.createDataFrame(
+        pd.DataFrame(edges, columns=["eid", "gcell", "hcell"]),
+        "eid long, gcell string, hcell string",
+    )
     queries = edf.join(core_pts, edf.gcell == core_pts.cell).select(
         F.col("eid").alias("key"), F.col("hcell").alias("tcell"), *xc
     )
@@ -115,7 +114,7 @@ def build_cell_graph(
 
     Parameters
     ----------
-    core_pts   : DataFrame (cell, x*) of core points only (cached upstream).
+    core_pts   : DataFrame (cell, x*) of core points only (a filter of a cached frame).
     core_cells : pandas (cell, core_cnt) — cells with ≥ 1 core point.
     npairs     : pandas neighbor pairs (cell, ncell) over all non-empty cells.
     cells      : the call's cell table (quadtree root box per cell).
@@ -139,25 +138,16 @@ def build_cell_graph(
     stats: dict[str, object] = {"n_core_cells": len(vertices), "n_candidate_edges": len(edges)}
 
     if method == "delaunay":
-        connected = _delaunay_cell_edges(core_pts, d, eps)
-        n_eval = len(edges)
-        for g, h in connected:
+        for g, h in _delaunay_cell_edges(core_pts, d, eps):
             if g in idx and h in idx:
                 uf.union(idx[g], idx[h])
-        stats["n_evaluated"] = n_eval
-    elif not bucketing:
-        # One fully-parallel round over all candidate edges.
-        edf = pd.DataFrame(
-            {"eid": range(len(edges)), "gcell": [e[0] for e in edges], "hcell": [e[1] for e in edges]}
-        )
-        conn = _connected_edges(spark, edf, core_pts, cells, d, eps, method, rho)
         stats["n_evaluated"] = len(edges)
-        for eid in conn:
-            g, h = edges[eid]
-            uf.union(idx[g], idx[h])
     else:
-        # Bucketing: responsible cells in non-increasing core-count order;
-        # batches pruned by the union-find between rounds.
+        # Responsible cells in non-increasing core-count order, in batches
+        # pruned by the union-find between rounds; without bucketing one batch
+        # holds every candidate edge, so nothing is pruned.
+        if not bucketing:
+            bucket_size = len(edges)
         order = sorted(range(len(edges)), key=lambda e: (-counts[edges[e][0]], edges[e][0]))
         n_evaluated = 0
         pos = 0
@@ -171,14 +161,8 @@ def build_cell_graph(
                     batch_ids.append(e)
             if not batch_ids:
                 continue
-            edf = pd.DataFrame(
-                {
-                    "eid": batch_ids,
-                    "gcell": [edges[e][0] for e in batch_ids],
-                    "hcell": [edges[e][1] for e in batch_ids],
-                }
-            )
-            conn = _connected_edges(spark, edf, core_pts, cells, d, eps, method, rho)
+            batch = [(e, *edges[e]) for e in batch_ids]
+            conn = _connected_edges(spark, batch, core_pts, cells, d, eps, method, rho)
             n_evaluated += len(batch_ids)
             for eid in conn:
                 g, h = edges[eid]

@@ -17,15 +17,20 @@ our-2d-grid-*       d=2, cell_method="grid", graph_method in {bcp,usec,delaunay}
 our-2d-box-*        d=2, cell_method="box",  graph_method in {bcp,usec,delaunay}
 =================  ========================================================
 
+One per-point frame, MarkCore's cached ``(id, cell, x*, is_core)``, carries a
+call to the result: ClusterCore and ClusterBorder read its rows as filters,
+and ClusterBorder labels every point.  A call caches the points with their
+cells, that frame and the result, and leaves only the result cached.
+
 Output: DataFrame (id, is_core, clusters array<long>) — empty array = noise;
 border points may carry several labels.  Cluster labels are canonical core-
 cell component indices; tests canonicalise further to min-core-point ids.
 """
 from __future__ import annotations
 
+import math
 import time
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -54,80 +59,57 @@ def dbscan(
     bucketing: bool = False,
     return_stats: bool = False,
 ):
-    """Run parallel DBSCAN; see module docstring for the variant matrix."""
-    t0 = time.perf_counter()
+    """Run parallel DBSCAN; see module docstring for the variant matrix.
+
+    Arguments no variant accepts raise ValueError before any Spark job runs.
+    """
     xc = grid.xcols(d)
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    if min_pts < 1:
+        raise ValueError(f"min_pts must be >= 1, got {min_pts}")
+    if cell_method not in CELL_METHODS or graph_method not in ("bcp", "qt", "usec", "delaunay"):
+        raise ValueError(f"unknown cell_method {cell_method!r} or graph_method {graph_method!r}")
+    if graph_method in ("usec", "delaunay") and not approx and d != 2:
+        raise ValueError(f"graph_method={graph_method!r} needs d=2, got d={d}")
+    if sorted(c for c in points.columns if c.startswith("x")) != sorted(xc):
+        raise ValueError(f"d={d} needs point columns x0..x{d - 1}, got {points.columns}")
+    t0 = time.perf_counter()
     stats: dict[str, object] = {}
 
     # ---- cells ----------------------------------------------------------
-    if cell_method not in CELL_METHODS:
-        raise ValueError(cell_method)
     pts_cells, cells, npairs = CELL_METHODS[cell_method](points, eps, d)
     t1 = time.perf_counter()
     stats["n_cells"] = len(cells.pdf)
     stats["t_cells"] = t1 - t0
 
     # ---- mark core ------------------------------------------------------
-    flags = mark_core(
+    flagged = mark_core(
         spark, pts_cells, d, eps, min_pts, npairs, cells, use_quadtree=markcore_quadtree
     ).cache()
-    flags.count()
+    flagged.count()
     t2 = time.perf_counter()
     stats["t_markcore"] = t2 - t1
 
     # ---- cluster core ---------------------------------------------------
-    core_pts = (
-        pts_cells.join(flags.where("is_core").select("id"), "id")
-        .select("id", "cell", *xc)
-        .cache()
-    )
-    core_cells = (
-        core_pts.groupBy("cell").agg(F.count("*").alias("core_cnt")).toPandas()
-    )
-    gmethod = "approx" if approx else graph_method
+    core_pts = flagged.where("is_core").select("cell", *xc)
+    core_cells = core_pts.groupBy("cell").agg(F.count("*").alias("core_cnt")).toPandas()
     labels, gstats = build_cell_graph(
-        spark,
-        core_pts.select("cell", *xc),
-        core_cells,
-        npairs,
-        cells,
-        d,
-        eps,
-        method=gmethod,
-        rho=rho,
-        bucketing=bucketing,
+        spark, core_pts, core_cells, npairs, cells, d, eps,
+        method="approx" if approx else graph_method, rho=rho, bucketing=bucketing,
     )
     stats.update(gstats)
-    lbl_df = spark.createDataFrame(
-        pd.DataFrame(
-            {"cell": list(labels), "cluster": [labels[c] for c in labels]}
-        ),
-        schema="cell string, cluster long",
-    )
-    core_clustered = core_pts.join(lbl_df, "cell").select("id", "cell", *xc, "cluster").cache()
     t3 = time.perf_counter()
     stats["t_clustercore"] = t3 - t2
 
     # ---- cluster border -------------------------------------------------
-    border = cluster_border(spark, pts_cells, flags, core_clustered, d, eps, npairs)
-    core_out = core_clustered.select("id", F.array(F.col("cluster")).alias("clusters"))
-    assigned = core_out.unionByName(border)
-    result = (
-        points.select("id")
-        .join(flags, "id", "left")
-        .join(assigned, "id", "left")
-        .select(
-            "id",
-            F.coalesce("is_core", F.lit(False)).alias("is_core"),
-            F.coalesce("clusters", F.array().cast("array<long>")).alias("clusters"),
-        )
-    ).cache()
+    result = cluster_border(spark, flagged, labels, core_cells, cells, npairs, d, eps).cache()
     result.count()
     t4 = time.perf_counter()
     stats["t_border"] = t4 - t3
     stats["t_total"] = t4 - t0
 
-    for cached in (pts_cells, flags, core_pts, core_clustered):
+    for cached in (pts_cells, flagged):
         cached.unpersist()
     if return_stats:
         return result, stats

@@ -4,12 +4,16 @@ Dense cells (≥ minPts points) mark all their points core directly — any two
 points in a cell are within eps.  Points of sparse cells count neighbors:
 their own cell's full count plus a RangeCount against each neighboring cell.
 
-Both counts come from the cell table: the driver copy says whether any
-sparse cell exists at all, the Spark copy gives each point its cell's count.
-The RangeCount fan-out is the shared per-target-cell kernel
-(``cellkernel.per_target_cell``); MarkCore's per-cell test is a vectorised
-scan (our-exact) or a per-cell quadtree rooted at the cell's box
-(our-exact-qt, §5.2).
+The result is the call's one per-point frame ``(id, cell, x*, is_core)``;
+ClusterCore and ClusterBorder read their points from it as filters.  Both
+counts come from the cell table: when the driver copy holds no sparse cell,
+every point is core and the flag is a literal column; otherwise the Spark
+copy gives each point its cell's count, and one left id-join brings the
+sparse points' totals back (a union of dense and sparse rows would double
+the partitions that every later phase scans).  The RangeCount fan-out is
+the shared per-target-cell kernel (``cellkernel.per_target_cell``);
+MarkCore's per-cell test is a vectorised scan (our-exact) or a per-cell
+quadtree rooted at the cell's box (our-exact-qt, §5.2).
 """
 from __future__ import annotations
 
@@ -47,7 +51,7 @@ def mark_core(
     cells: CellTable,
     use_quadtree: bool = False,
 ) -> DataFrame:
-    """Return DataFrame (id, is_core) for all points.
+    """Return the per-point frame (id, cell, x0..x{d-1}, is_core).
 
     Parameters
     ----------
@@ -56,11 +60,11 @@ def mark_core(
     cells     : the call's cell table (count and quadtree root box per cell).
     """
     xc = xcols(d)
+    base = pts_cells.select("id", "cell", *xc)
     if (cells.pdf["cnt"] >= min_pts).all():  # no sparse cell: every point is core
-        return pts_cells.select("id", F.lit(True).alias("is_core"))
+        return base.withColumn("is_core", F.lit(True))
 
-    pts = pts_cells.select("id", *xc, "cell").join(cells.df, "cell")
-    core_dense = pts.where(F.col("cnt") >= min_pts).select("id", F.lit(True).alias("is_core"))
+    pts = base.join(cells.df, "cell")
     sparse = pts.where(F.col("cnt") < min_pts)
     counts = sparse.select(F.col("id").alias("key"), F.col("cnt").alias("value"))
     if len(npairs):
@@ -71,8 +75,7 @@ def mark_core(
         counts = counts.unionByName(
             per_target_cell(queries, targets, d, _range_count(eps, use_quadtree))
         )
-    total = counts.groupBy("key").agg(F.sum("value").alias("total"))
-    core_sparse = total.select(
-        F.col("key").alias("id"), (F.col("total") >= min_pts).alias("is_core")
-    )
-    return core_dense.unionByName(core_sparse)
+    total = counts.groupBy(F.col("key").alias("id")).agg(F.sum("value").alias("total"))
+    # Dense rows have no total; True OR NULL is True.
+    is_core = (F.col("cnt") >= min_pts) | (F.col("total") >= min_pts)
+    return pts.join(total, "id", "left").select(*base.columns, is_core.alias("is_core"))

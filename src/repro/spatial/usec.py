@@ -36,18 +36,18 @@ def _upper_crossing(c1: np.ndarray, c2: np.ndarray, r: float) -> float | None:
     if d2 >= 4.0 * r * r or d2 == 0.0:
         return None
     d = np.sqrt(d2)
-    # Circle-circle intersection: midpoint +/- h along the perpendicular.
+    # Circle-circle intersection: midpoint +/- h along the unit perpendicular
+    # (-dy, dx) / d, so the point taken with sign s sits s*h*dx/d above the
+    # midpoint.  It lies on both upper arcs iff it is at or above both
+    # centres, i.e. iff s*h*dx/d >= |dy|/2.  Comparing these offsets, with no
+    # slack, keeps nearly coincident centres apart: the lower intersection
+    # point of two centres stacked at one x is on the lower arc of the higher
+    # circle, so such arcs do not cross and the higher one dominates.
     h = np.sqrt(r * r - d2 / 4.0)
-    mx = (c1[0] + c2[0]) / 2.0
-    my = (c1[1] + c2[1]) / 2.0
-    ux, uy = -dy / d, dx / d  # unit perpendicular
-    best = None
     for s in (1.0, -1.0):
-        px, py = mx + s * h * ux, my + s * h * uy
-        # On the upper arc of both circles?
-        if py >= c1[1] - 1e-12 and py >= c2[1] - 1e-12:
-            best = px if best is None else max(best, px)
-    return best
+        if s * h * dx >= abs(dy) * d / 2.0:
+            return (c1[0] + c2[0]) / 2.0 - s * h * dy / d
+    return None
 
 
 def _upper(c: np.ndarray, x: float, r: float) -> float:

@@ -3,14 +3,45 @@ import numpy as np
 import pytest
 
 from repro import synth_data as sd
+from repro.baselines.hpdbscan_like import hpdbscan
+from repro.baselines.naive_parallel import naive_dbscan
+from repro.baselines.pdsdbscan_like import pdsdbscan
+from repro.baselines.rpdbscan_like import rpdbscan
 from repro.core.dbscan import VARIANTS, dbscan, dbscan_variant
-from repro.core.validate import assert_same_clustering, canonical_labels, result_to_pandas
+from repro.core.validate import (
+    assert_same_clustering,
+    canonical_labels,
+    check_approx_valid,
+    result_to_pandas,
+)
 
 
 def _run_and_check(spark, pts, eps, min_pts, d, **kw):
     res = dbscan(spark, sd.points_df(spark, pts), eps, min_pts, d, **kw)
     assert_same_clustering(res, pts, eps, min_pts)
     return res
+
+
+def _run_variant_and_check(spark, pts, eps, min_pts, variant):
+    """Run a named variant; exact ones must equal brute force, approximate
+    ones must satisfy the rho-approximate semantics at the default rho."""
+    res = dbscan_variant(spark, sd.points_df(spark, pts), eps, min_pts, pts.shape[1], variant)
+    if VARIANTS[variant].get("approx"):
+        check_approx_valid(res, pts, eps, min_pts, 0.01)
+    else:
+        assert_same_clustering(res, pts, eps, min_pts)
+    return res
+
+
+def _jobs_in_group(spark, group, fn):
+    """Run ``fn()`` with its Spark jobs tagged ``group``; return (fn(), #jobs)."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        out = fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -38,18 +69,20 @@ def test_minpts_sweep(spark, min_pts):
     _run_and_check(spark, pts, 250.0, min_pts, 2)
 
 
-def test_minpts_one_no_noise(spark):
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_minpts_one_no_noise(spark, variant):
     pts = sd.seed_spreader(150, 2, seed=22)
-    res = _run_and_check(spark, pts, 200.0, 1, 2)
+    res = _run_variant_and_check(spark, pts, 200.0, 1, variant)
     pdf = result_to_pandas(res)
     assert pdf["is_core"].all()
     assert (pdf["clusters"].apply(len) == 1).all()
 
 
-def test_eps_tiny_all_noise(spark):
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_eps_tiny_all_noise(spark, variant):
     rng = np.random.default_rng(1)
     pts = rng.random((200, 2)) * 1000
-    res = _run_and_check(spark, pts, 0.001, 2, 2)
+    res = _run_variant_and_check(spark, pts, 0.001, 2, variant)
     pdf = result_to_pandas(res)
     assert not pdf["is_core"].any()
     assert (pdf["clusters"].apply(len) == 0).all()
@@ -89,16 +122,91 @@ def test_empty_input(spark, variant):
     assert res.count() == 0
 
 
-@pytest.mark.parametrize("cell_method", ["grid", "box"])
-def test_leaves_only_result_cached(spark, cell_method):
-    """dbscan() unpersists every intermediate it caches; only the returned
-    result stays cached until the caller unpersists it."""
+LEAK_CHECKED = {
+    "grid": lambda spark, df, eps, mp, d: dbscan(spark, df, eps, mp, d, cell_method="grid"),
+    "box": lambda spark, df, eps, mp, d: dbscan(spark, df, eps, mp, d, cell_method="box"),
+    "rpdbscan": rpdbscan,
+    "pdsdbscan": pdsdbscan,
+    "hpdbscan": hpdbscan,
+    "naive": naive_dbscan,
+}
+
+
+@pytest.mark.parametrize("run", list(LEAK_CHECKED))
+def test_leaves_only_result_cached(spark, run):
+    """dbscan() and the Spark baselines unpersist every intermediate they
+    cache; only the returned result stays cached until the caller unpersists
+    it."""
     jsc = spark.sparkContext._jsc
     before = jsc.getPersistentRDDs().size()
     pts = sd.seed_spreader(200, 2, seed=29)
-    res = dbscan(spark, sd.points_df(spark, pts), 250.0, 8, 2, cell_method=cell_method)
+    res = LEAK_CHECKED[run](spark, sd.points_df(spark, pts), 250.0, 8, 2)
     res.unpersist()
     assert jsc.getPersistentRDDs().size() == before
+
+
+BAD_ARGUMENTS = {
+    "eps-zero": dict(eps=0.0),
+    "eps-negative": dict(eps=-1.0),
+    "eps-inf": dict(eps=float("inf")),
+    "eps-nan": dict(eps=float("nan")),
+    "minpts-zero": dict(min_pts=0),
+    "graph-method-unknown": dict(graph_method="bogus"),
+    "cell-method-unknown": dict(cell_method="bogus"),
+    "usec-3d": dict(graph_method="usec", d=3, cols=3),
+    "delaunay-3d": dict(graph_method="delaunay", d=3, cols=3),
+    "d-below-columns": dict(d=2, cols=3),
+    "d-above-columns": dict(d=3, cols=2),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ARGUMENTS))
+def test_rejects_bad_arguments(spark, case):
+    """Arguments no variant accepts raise ValueError on the driver before any
+    Spark job runs."""
+    kw = {**dict(eps=1.0, min_pts=2, d=2, cols=2), **BAD_ARGUMENTS[case]}
+    df = sd.points_df(spark, np.zeros((4, kw.pop("cols"))))
+    args = (kw.pop("eps"), kw.pop("min_pts"), kw.pop("d"))
+
+    def call():
+        with pytest.raises(ValueError):
+            dbscan(spark, df, *args, **kw)
+
+    _, jobs = _jobs_in_group(spark, f"test-bad-arguments-{case}", call)
+    assert jobs == 0
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_border_in_own_and_other_cell(spark, variant):
+    """With eps = 1 the grid cell (0, 0) is [0, 0.707)^2.  It holds two core
+    points and a border point A whose only core neighbours are in its own
+    cell; B (cell (1, 0)) and the two helpers (cell (-1, 0)) are border
+    points whose only core neighbours are in another cell; one point is
+    noise."""
+    clump = [[0.1, 0.1]] * 2
+    helpers = [[-0.5, 0.1]] * 2
+    a, b, noise = [0.6, 0.6], [1.0, 0.1], [5.0, 5.0]
+    pts = np.array(clump + helpers + [a, b, noise])
+    pdf = result_to_pandas(_run_variant_and_check(spark, pts, 1.0, 5, variant))
+    assert pdf["is_core"].tolist() == [True] * 2 + [False] * 5
+    assert pdf["clusters"].map(len).tolist() == [1] * 6 + [0]
+
+
+@pytest.mark.parametrize("min_pts", [1, 8], ids=["all-core", "with-noise"])
+def test_job_count_same_across_calls(spark, min_pts):
+    """Clean calls on one cached input run the same number of Spark jobs."""
+    pts = sd.seed_spreader(300, 2, seed=30, noise_frac=0.05)
+    df = sd.points_df(spark, pts).cache()
+    df.count()
+    jobs = []
+    for i in range(3):
+        res, n = _jobs_in_group(
+            spark, f"test-job-count-{min_pts}-{i}", lambda: dbscan(spark, df, 250.0, min_pts, 2)
+        )
+        res.unpersist()
+        jobs.append(n)
+    df.unpersist()
+    assert len(set(jobs)) == 1, jobs
 
 
 def test_duplicate_points(spark):
@@ -108,7 +216,8 @@ def test_duplicate_points(spark):
     _run_and_check(spark, pts, 2.0, 10, 2)
 
 
-def test_two_clusters_bridged_by_border(spark):
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_two_clusters_bridged_by_border(spark, variant):
     """Classic construction: a border point within eps of two clusters must
     belong to both (multi-membership)."""
     # Two line clusters whose inner endpoints are exactly eps from the
@@ -118,7 +227,7 @@ def test_two_clusters_bridged_by_border(spark):
     right = np.stack([np.linspace(10.0, 14.0, 40), np.zeros(40)], axis=1)
     bridge = np.array([[5.0, 0.0]])
     pts = np.vstack([left, right, bridge])
-    res = _run_and_check(spark, pts, 5.0, 40, 2)
+    res = _run_variant_and_check(spark, pts, 5.0, 40, variant)
     pdf = result_to_pandas(res)
     assert len(pdf.loc[80, "clusters"]) == 2
     assert not pdf.loc[80, "is_core"]

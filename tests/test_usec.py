@@ -1,7 +1,7 @@
 """Unit tests for USEC wavefront connectivity (repro.spatial.usec)."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.spatial.usec import Wavefront, separation_axis, usec_connected
@@ -83,22 +83,34 @@ def test_random_matches_brute(seed):
         assert usec_connected(a, b, eps) == _brute(a, b, eps), (seed, eps)
 
 
+# A holds (0, 0) and (0, 2**-52), stacked at x = 0; B's point (0, -1.5) is
+# exactly eps = 1.5 from (0, 0).  The higher centre must keep the envelope
+# arc over x = 0.
+TIE_A = [(1.0, 0.0), (0.0, 0.0), (0.0, 2.0**-52)]
+TIE_B = [(1.0, 0.0), (0.0, 9.0), (0.0, 0.0), (0.0, 0.0)]  # before the shift by -10.5
+
+
+def _points(max_size):
+    coord = st.floats(0, 10, allow_nan=False, width=32)
+    return st.lists(st.tuples(coord, coord), min_size=1, max_size=max_size)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_hypothesis_matches_brute(data):
-    na = data.draw(st.integers(1, 25))
-    nb = data.draw(st.integers(1, 25))
-    fa = data.draw(
-        st.lists(st.floats(0, 10, allow_nan=False, width=32), min_size=2 * na, max_size=2 * na)
-    )
-    fb = data.draw(
-        st.lists(st.floats(0, 10, allow_nan=False, width=32), min_size=2 * nb, max_size=2 * nb)
-    )
-    a = np.array(fa).reshape(na, 2)
-    b = np.array(fb).reshape(nb, 2)
+@given(_points(25), _points(25), st.floats(0.1, 20, allow_nan=False))
+@example(TIE_A, TIE_B, 1.5)
+def test_hypothesis_matches_brute(fa, fb, eps):
+    a = np.array(fa, dtype=np.float64)
+    b = np.array(fb, dtype=np.float64)
     b[:, 1] -= 10.5  # enforce horizontal separation
-    eps = data.draw(st.floats(0.1, 20, allow_nan=False))
     assert usec_connected(a, b, eps) == _brute(a, b, eps)
+
+
+def test_tie_at_eps_nearly_coincident_centres():
+    a = np.array(TIE_A)
+    b = np.array(TIE_B) - np.array([0.0, 10.5])
+    assert _brute(a, b, 1.5)  # (0, 0) and (0, -1.5) are exactly eps apart
+    assert usec_connected(a, b, 1.5)
+    assert usec_connected(b, a, 1.5)
 
 
 @settings(max_examples=100, deadline=None)
