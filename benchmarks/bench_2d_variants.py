@@ -41,6 +41,7 @@ def test_2d_variants(benchmark, spark, bench_n, variant, dataset):
 
     def run():
         res, stats = dbscan_variant(spark, df, EPS, MIN_PTS, 2, variant, return_stats=True)
+        res.unpersist()
         return stats
 
     stats = run_once(benchmark, run)
@@ -58,6 +59,7 @@ def test_2d_scaling_n(benchmark, spark, n):
 
     def run():
         res, stats = dbscan_variant(spark, df, EPS, MIN_PTS, 2, "our-2d-grid-bcp", return_stats=True)
+        res.unpersist()
         return stats
 
     stats = run_once(benchmark, run)

@@ -53,6 +53,7 @@ def test_eps_ss3_ours(benchmark, spark, bench_n, impl, eps):
         res, stats = dbscan_variant(
             spark, df, eps, MIN_PTS, 3, impl, return_stats=True
         )
+        res.unpersist()
         return stats
 
     stats = run_once(benchmark, run)
@@ -71,7 +72,9 @@ def test_eps_ss3_baselines(benchmark, spark, bench_n, impl, eps):
 
     def run():
         t0 = time.perf_counter()
-        fn(spark, df, eps, MIN_PTS, 3).count()
+        res = fn(spark, df, eps, MIN_PTS, 3)
+        res.count()
+        res.unpersist()
         return time.perf_counter() - t0
 
     elapsed = run_once(benchmark, run)
@@ -86,6 +89,7 @@ def test_eps_geolife_bucketing(benchmark, spark, bench_n, impl, eps):
 
     def run():
         res, stats = dbscan_variant(spark, df, eps, MIN_PTS, 3, impl, return_stats=True)
+        res.unpersist()
         return stats
 
     stats = run_once(benchmark, run)

@@ -36,6 +36,7 @@ def test_minpts_our_exact(benchmark, spark, bench_n, min_pts):
 
     def run():
         res, stats = dbscan(spark, df, EPS, min_pts, 3, return_stats=True)
+        res.unpersist()
         return stats
 
     stats = run_once(benchmark, run)
@@ -52,7 +53,9 @@ def test_minpts_hpdbscan(benchmark, spark, bench_n, min_pts):
 
     def run():
         t0 = time.perf_counter()
-        hpdbscan(spark, df, EPS, min_pts, 3).count()
+        res = hpdbscan(spark, df, EPS, min_pts, 3)
+        res.count()
+        res.unpersist()
         return time.perf_counter() - t0
 
     elapsed = run_once(benchmark, run)

@@ -34,6 +34,7 @@ def test_rho_sweep(benchmark, spark, bench_n, impl, rho):
 
     def run():
         res, stats = dbscan_variant(spark, df, EPS, MIN_PTS, 3, impl, rho=rho, return_stats=True)
+        res.unpersist()
         return stats
 
     stats = run_once(benchmark, run)
@@ -49,6 +50,7 @@ def test_rho_sweep_exact_baseline(benchmark, spark, bench_n):
 
     def run():
         res, stats = dbscan(spark, df, EPS, MIN_PTS, 3, return_stats=True)
+        res.unpersist()
         return stats
 
     stats = run_once(benchmark, run)

@@ -45,6 +45,7 @@ def test_speedup_parallel(benchmark, spark, n):
 
     def run():
         res, stats = dbscan(spark, df, EPS, MIN_PTS, 3, return_stats=True)
+        res.unpersist()
         return stats
 
     stats = run_once(benchmark, run)

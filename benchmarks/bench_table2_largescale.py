@@ -51,6 +51,7 @@ def test_table2_our_exact(benchmark, spark, bench_n_t2, name, d, eps, bucketing)
         res, stats = dbscan(
             spark, df, eps, MIN_PTS, d, bucketing=bucketing, return_stats=True
         )
+        res.unpersist()
         return stats
 
     stats = run_once(benchmark, run)
@@ -72,7 +73,9 @@ def test_table2_rpdbscan(benchmark, spark, bench_n_t2, name, d, eps, _b):
 
     def run():
         t0 = time.perf_counter()
-        rpdbscan(spark, df, eps, MIN_PTS, d).count()
+        res = rpdbscan(spark, df, eps, MIN_PTS, d)
+        res.count()
+        res.unpersist()
         return time.perf_counter() - t0
 
     elapsed = run_once(benchmark, run)

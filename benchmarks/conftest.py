@@ -14,9 +14,15 @@ BENCH_N_T2 = int(os.environ.get("REPRO_BENCH_N_T2", "30000"))
 
 
 def run_once(benchmark, fn):
-    """Single timed round — DBSCAN runs are seconds-long; repetition would
-    blow the suite budget without changing the ordering conclusions."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+    """One untimed warm-up round, then a single timed round.
+
+    The warm-up pays the first-call costs (Python workers, code paths the
+    JVM has not compiled yet) that would otherwise fall on whichever case
+    runs first; ``fn`` must unpersist what it caches, so the timed round
+    reuses no result of the warm-up.  DBSCAN runs are seconds-long; more
+    rounds would blow the suite budget without changing the ordering
+    conclusions."""
+    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=1)
 
 
 @pytest.fixture(scope="session")

@@ -38,15 +38,21 @@ from repro import synth_data as sd  # noqa: E402
 
 
 def get_spark(app: str) -> SparkSession:
+    """The jobs' session: one shuffle partition per core (SPARK_SHUFFLE_PARTITIONS
+    overrides), Arrow on, and only explicitly hinted (cell-scale) tables
+    broadcast."""
     s = (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
         .getOrCreate()
+    )
+    s.conf.set(
+        "spark.sql.shuffle.partitions",
+        os.environ.get("SPARK_SHUFFLE_PARTITIONS", str(s.sparkContext.defaultParallelism)),
     )
     s.sparkContext.setLogLevel("ERROR")
     return s

@@ -12,7 +12,9 @@ and a pair is kept only when its target holds core points.  Only those pairs
 meet in the shared per-target-cell kernel (``cellkernel.per_target_cell``),
 whose per-cell test is a vectorised any-within-eps scan yielding (point,
 cluster) pairs, deduplicated by a shuffle ``collect_set``.  With no pair,
-no border check runs and every non-core point is noise.
+no border check runs and every non-core point is noise.  The labels, the
+pairs and their target cells reach the points by broadcast; the one join
+that shuffles is the id-join that brings the border labels back.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.cellkernel import CellTable, count_within, per_target_cell
+from repro.core.cellkernel import CellTable, count_within, driver_table, per_target_cell
 from repro.core.grid import xcols
 
 
@@ -78,14 +80,14 @@ def cluster_border(
         return noncore.select("id", "is_core", noise.alias("clusters"))
     lbl = pd.DataFrame({"cell": list(labels), "cluster": list(labels.values())})
     core = flagged.where("is_core").join(
-        spark.createDataFrame(lbl, "cell string, cluster long"), "cell"
+        driver_table(spark, lbl, "cell string, cluster long"), "cell"
     )
     pairs = _border_pairs(cells, core_cells, npairs)
     if len(pairs):
         xc = xcols(d)
-        tcells = spark.createDataFrame(pairs[["tcell"]].drop_duplicates(), "cell string")
+        tcells = driver_table(spark, pairs[["tcell"]].drop_duplicates(), "cell string")
         border = per_target_cell(
-            noncore.join(spark.createDataFrame(pairs, "cell string, tcell string"), "cell")
+            noncore.join(driver_table(spark, pairs, "cell string, tcell string"), "cell")
             .select(F.col("id").alias("key"), "tcell", *xc),
             core.join(tcells, "cell").select("cell", *xc, "cluster"),
             d,

@@ -144,14 +144,18 @@ def build_cells(points: DataFrame, eps: float, d: int) -> tuple[DataFrame, CellT
     """Box cells (2D only): (pts_cells, cells, npairs).
 
     ``pts_cells`` (id, x0, x1, cell) is cached; the caller unpersists it.
-    Cell keys are ``b<box index>``.
+    Cell keys are ``b<box index>``.  A NaN, infinite or null coordinate
+    raises ValueError.
     """
     if d != 2:
         raise ValueError("box construction is 2D only")
     spark = points.sparkSession
     xc = ["x0", "x1"]
     pdf = points.select("id", *xc).toPandas().sort_values("id")
-    labels, boxes = box_cells(pdf[xc].to_numpy(), eps)
+    xy = pdf[xc].to_numpy()
+    if not np.isfinite(xy).all():
+        raise ValueError("point coordinates must be finite, found NaN, ±inf or null")
+    labels, boxes = box_cells(xy, eps)
     assign = pd.DataFrame({"id": pdf["id"].to_numpy(), "cell": "b" + pd.Series(labels).astype(str)})
     pts_cells = (
         points.join(spark.createDataFrame(assign, "id long, cell string"), "id")

@@ -37,7 +37,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.cellkernel import CellTable, per_target_cell
+from repro.core.cellkernel import CellTable, driver_table, per_target_cell
 from repro.core.grid import xcols
 from repro.primitives.unionfind import UnionFind
 from repro.spatial.bcp import bcp_connected, connected_approx, connected_via_quadtree
@@ -83,7 +83,8 @@ def _connected_edges(
     """Decide a batch of candidate edges (eid, gcell, hcell) in parallel,
     gcell the responsible cell; returns the connected eids."""
     xc = xcols(d)
-    edf = spark.createDataFrame(
+    edf = driver_table(
+        spark,
         pd.DataFrame(edges, columns=["eid", "gcell", "hcell"]),
         "eid long, gcell string, hcell string",
     )

@@ -18,6 +18,14 @@ target cell that has both queries and points.
 ``CellTable`` is the contract shared by grid (§4.1) and box (§4.2) cells:
 the driver table of non-empty cells — the stand-in for the paper's parallel
 hash table — together with its Spark DataFrame, made once per call.
+
+Every cell-scale driver table (the cell table, neighbour pairs, an edge
+batch, cluster labels, border pairs) enters Spark through ``driver_table``
+as a broadcast: the paper's threads read its cell hash table from shared
+memory, and here every task reads a broadcast copy, so a join of such a
+table with a point-scale frame shuffles neither side.  The sessions keep
+``autoBroadcastJoinThreshold=-1``, so Spark never broadcasts a point-scale
+frame on its own, and only point-to-point joins shuffle.
 """
 from __future__ import annotations
 
@@ -58,7 +66,12 @@ class CellTable(NamedTuple):
         schema = ", ".join(
             ["cell string", "cnt long", *[f"{c} double" for c in locols], "side double"]
         )
-        return cls(pdf, spark.createDataFrame(pdf[["cell", "cnt", *locols, "side"]], schema))
+        return cls(pdf, driver_table(spark, pdf[["cell", "cnt", *locols, "side"]], schema))
+
+
+def driver_table(spark: SparkSession, pdf: pd.DataFrame, schema: str) -> DataFrame:
+    """A cell-scale driver table as a broadcast-hinted Spark DataFrame."""
+    return F.broadcast(spark.createDataFrame(pdf, schema))
 
 
 def bucket(col):

@@ -17,10 +17,11 @@ our-2d-grid-*       d=2, cell_method="grid", graph_method in {bcp,usec,delaunay}
 our-2d-box-*        d=2, cell_method="box",  graph_method in {bcp,usec,delaunay}
 =================  ========================================================
 
-One per-point frame, MarkCore's cached ``(id, cell, x*, is_core)``, carries a
-call to the result: ClusterCore and ClusterBorder read its rows as filters,
-and ClusterBorder labels every point.  A call caches the points with their
-cells, that frame and the result, and leaves only the result cached.
+One per-point frame, MarkCore's ``(id, cell, x*, is_core)``, carries a call
+to the result: ClusterCore and ClusterBorder read its rows as filters, and
+ClusterBorder labels every point.  A call caches the points with their
+cells, that frame (unless every cell is dense, when it is a projection of
+the cached points) and the result, and leaves only the result cached.
 
 Output: DataFrame (id, is_core, clusters array<long>) — empty array = noise;
 border points may carry several labels.  Cluster labels are canonical core-
@@ -32,7 +33,6 @@ import math
 import time
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import box as boxmod
 from repro.core import grid
@@ -84,18 +84,15 @@ def dbscan(
     stats["t_cells"] = t1 - t0
 
     # ---- mark core ------------------------------------------------------
-    flagged = mark_core(
+    flagged, core_cells = mark_core(
         spark, pts_cells, d, eps, min_pts, npairs, cells, use_quadtree=markcore_quadtree
-    ).cache()
-    flagged.count()
+    )
     t2 = time.perf_counter()
     stats["t_markcore"] = t2 - t1
 
     # ---- cluster core ---------------------------------------------------
-    core_pts = flagged.where("is_core").select("cell", *xc)
-    core_cells = core_pts.groupBy("cell").agg(F.count("*").alias("core_cnt")).toPandas()
     labels, gstats = build_cell_graph(
-        spark, core_pts, core_cells, npairs, cells, d, eps,
+        spark, flagged.where("is_core").select("cell", *xc), core_cells, npairs, cells, d, eps,
         method="approx" if approx else graph_method, rho=rho, bucketing=bucketing,
     )
     stats.update(gstats)

@@ -56,10 +56,14 @@ def build_cells(points: DataFrame, eps: float, d: int) -> tuple[DataFrame, CellT
     """Grid cells: (pts_cells, cells, npairs).
 
     ``pts_cells`` (id, x*, c*, cell) is cached; the caller unpersists it.
-    Each cell's quadtree root box is the cell itself.
+    Each cell's quadtree root box is the cell itself.  A NaN, infinite or
+    null coordinate raises ValueError; the cell-table job counts them.
     """
     pts_cells = with_cells(points, eps, d).select("id", *xcols(d), *ccols(d), "cell").cache()
     table = cell_table(pts_cells, d)
+    if table.pop("non_finite").any():
+        pts_cells.unpersist()
+        raise ValueError("point coordinates must be finite, found NaN, ±inf or null")
     side = cell_side(eps, d)
     for j in range(d):
         table[f"lo{j}"] = table[f"c{j}"].to_numpy(dtype=np.float64) * side
@@ -69,15 +73,20 @@ def build_cells(points: DataFrame, eps: float, d: int) -> tuple[DataFrame, CellT
 
 
 def cell_table(pts_cells: DataFrame, d: int) -> pd.DataFrame:
-    """Driver-side non-empty cell table: cell key, coords, count.
+    """Driver-side non-empty cell table: cell key, coords, count, and
+    ``non_finite``, the number of the cell's points with a NaN, infinite or
+    null coordinate.
 
     This is the reproduction's stand-in for the paper's parallel hash table
     of non-empty cells; it is O(#cells) and drives neighbor finding and the
     cell graph.
     """
+    non_finite = F.lit(False)
+    for x in xcols(d):  # Arrow turns a pandas NaN into a null
+        non_finite = non_finite | F.isnull(x) | F.isnan(x) | (F.abs(x) == math.inf)
     agg = (
         pts_cells.groupBy("cell", *ccols(d))
-        .agg(F.count("*").alias("cnt"))
+        .agg(F.count("*").alias("cnt"), F.sum(non_finite.cast("long")).alias("non_finite"))
         .toPandas()
         .sort_values("cell", kind="stable")
         .reset_index(drop=True)

@@ -7,13 +7,16 @@ their own cell's full count plus a RangeCount against each neighboring cell.
 The result is the call's one per-point frame ``(id, cell, x*, is_core)``;
 ClusterCore and ClusterBorder read their points from it as filters.  Both
 counts come from the cell table: when the driver copy holds no sparse cell,
-every point is core and the flag is a literal column; otherwise the Spark
-copy gives each point its cell's count, and one left id-join brings the
-sparse points' totals back (a union of dense and sparse rows would double
-the partitions that every later phase scans).  The RangeCount fan-out is
-the shared per-target-cell kernel (``cellkernel.per_target_cell``);
-MarkCore's per-cell test is a vectorised scan (our-exact) or a per-cell
-quadtree rooted at the cell's box (our-exact-qt, §5.2).
+every point is core, the flag is a literal column and the core count of a
+cell is its point count, with no Spark job.  Otherwise the broadcast copy
+gives each point its cell's count, and one left id-join brings the sparse
+points' totals back (a union of dense and sparse rows would double the
+partitions that every later phase scans); the frame is cached, and the
+per-cell core counts are the aggregation whose job fills that cache.  The
+RangeCount fan-out is the shared per-target-cell kernel
+(``cellkernel.per_target_cell``); MarkCore's per-cell test is a vectorised
+scan (our-exact) or a per-cell quadtree rooted at the cell's box
+(our-exact-qt, §5.2).
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.cellkernel import CellTable, count_within, per_target_cell
+from repro.core.cellkernel import CellTable, count_within, driver_table, per_target_cell
 from repro.core.grid import xcols
 from repro.spatial.quadtree import QuadTree
 
@@ -50,8 +53,11 @@ def mark_core(
     npairs: pd.DataFrame,
     cells: CellTable,
     use_quadtree: bool = False,
-) -> DataFrame:
-    """Return the per-point frame (id, cell, x0..x{d-1}, is_core).
+) -> tuple[DataFrame, pd.DataFrame]:
+    """Return the per-point frame (id, cell, x0..x{d-1}, is_core) and the
+    driver table (cell, core_cnt) of the cells holding a core point.
+
+    When some cell is sparse the frame is cached; the caller unpersists it.
 
     Parameters
     ----------
@@ -62,15 +68,15 @@ def mark_core(
     xc = xcols(d)
     base = pts_cells.select("id", "cell", *xc)
     if (cells.pdf["cnt"] >= min_pts).all():  # no sparse cell: every point is core
-        return base.withColumn("is_core", F.lit(True))
+        core_cells = cells.pdf[["cell", "cnt"]].rename(columns={"cnt": "core_cnt"})
+        return base.withColumn("is_core", F.lit(True)), core_cells
 
     pts = base.join(cells.df, "cell")
     sparse = pts.where(F.col("cnt") < min_pts)
     counts = sparse.select(F.col("id").alias("key"), F.col("cnt").alias("value"))
     if len(npairs):
-        queries = sparse.join(spark.createDataFrame(npairs), "cell").select(
-            F.col("id").alias("key"), F.col("ncell").alias("tcell"), *xc
-        )
+        queries = sparse.join(driver_table(spark, npairs, "cell string, ncell string"), "cell")
+        queries = queries.select(F.col("id").alias("key"), F.col("ncell").alias("tcell"), *xc)
         targets = pts.select("cell", *xc, *[f"lo{j}" for j in range(d)], "side")
         counts = counts.unionByName(
             per_target_cell(queries, targets, d, _range_count(eps, use_quadtree))
@@ -78,4 +84,11 @@ def mark_core(
     total = counts.groupBy(F.col("key").alias("id")).agg(F.sum("value").alias("total"))
     # Dense rows have no total; True OR NULL is True.
     is_core = (F.col("cnt") >= min_pts) | (F.col("total") >= min_pts)
-    return pts.join(total, "id", "left").select(*base.columns, is_core.alias("is_core"))
+    flagged = pts.join(total, "id", "left").select(*base.columns, is_core.alias("is_core")).cache()
+    core_cells = (
+        flagged.groupBy("cell")
+        .agg(F.sum(F.col("is_core").cast("long")).alias("core_cnt"))
+        .where(F.col("core_cnt") > 0)
+        .toPandas()
+    )
+    return flagged, core_cells

@@ -14,7 +14,7 @@ from repro.primitives.unionfind import UnionFind
 
 def _setup(spark, pts, eps, d, min_pts):
     df, cells, npairs = grid.build_cells(sd.points_df(spark, pts), eps, d)
-    flags = mark_core(spark, df, d, eps, min_pts, npairs, cells)
+    flags, _ = mark_core(spark, df, d, eps, min_pts, npairs, cells)
     core_pts = df.join(flags.where("is_core").select("id"), "id").select("id", "cell", *grid.xcols(d)).cache()
     core_cells = core_pts.groupBy("cell").agg(F.count("*").alias("core_cnt")).toPandas()
     return df, core_pts, core_cells, npairs, cells

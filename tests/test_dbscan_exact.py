@@ -1,13 +1,20 @@
 """End-to-end exact DBSCAN pipeline tests vs the brute-force reference."""
+from collections import Counter
+
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro import synth_data as sd
 from repro.baselines.hpdbscan_like import hpdbscan
 from repro.baselines.naive_parallel import naive_dbscan
 from repro.baselines.pdsdbscan_like import pdsdbscan
 from repro.baselines.rpdbscan_like import rpdbscan
+from repro.core import grid
+from repro.core.border import cluster_border
+from repro.core.cellgraph import build_cell_graph
 from repro.core.dbscan import VARIANTS, dbscan, dbscan_variant
+from repro.core.mark_core import mark_core
 from repro.core.validate import (
     assert_same_clustering,
     canonical_labels,
@@ -176,18 +183,99 @@ def test_rejects_bad_arguments(spark, case):
     assert jobs == 0
 
 
+@pytest.mark.parametrize("cell_method", ["grid", "box"])
+def test_rejects_non_finite(spark, cell_method):
+    """A NaN, infinite or null coordinate raises ValueError instead of being
+    clustered, and the call leaves nothing cached.  The bad value is set in
+    Spark: Arrow would turn a pandas NaN into a null."""
+    jsc = spark.sparkContext._jsc
+    before = jsc.getPersistentRDDs().size()
+    df = sd.points_df(spark, sd.seed_spreader(60, 2, seed=31))
+    for bad in (float("nan"), float("inf"), float("-inf"), None):
+        x1 = F.when(F.col("id") == 7, F.lit(bad)).otherwise(F.col("x1"))
+        with pytest.raises(ValueError, match="finite"):
+            dbscan(spark, df.withColumn("x1", x1), 250.0, 4, 2, cell_method=cell_method)
+    assert jsc.getPersistentRDDs().size() == before
+
+
+@pytest.mark.parametrize("partitions", [1, 7, 64])
+@pytest.mark.parametrize("variant", ["our-exact", "our-exact-bucketing", "our-2d-box-bcp"])
+def test_result_independent_of_shuffle_partitions(spark, variant, partitions):
+    """The clustering does not depend on the shuffle partition count; the
+    session's setting is restored afterwards."""
+    key = "spark.sql.shuffle.partitions"
+    saved = spark.conf.get(key)
+    spark.conf.set(key, str(partitions))
+    try:
+        pts = sd.seed_spreader(300, 2, seed=32, noise_frac=0.05)
+        _run_variant_and_check(spark, pts, 250.0, 8, variant)
+    finally:
+        spark.conf.set(key, saved)
+
+
+def _joins(df):
+    """Join operators of ``df``'s executed plan, counted by name.  A cached
+    frame's own plan is the one its cache ran; other cached frames it reads
+    are leaves."""
+    plan = df._jdf.queryExecution().executedPlan()
+    while plan.nodeName() in ("AdaptiveSparkPlan", "InMemoryTableScan"):
+        if plan.nodeName() == "AdaptiveSparkPlan":
+            plan = plan.executedPlan()
+        else:
+            plan = plan.relation().cachedPlan()
+    joins, todo = Counter(), [plan]
+    while todo:
+        node = todo.pop()
+        name = node.nodeName()
+        if name == "AdaptiveSparkPlan":
+            todo.append(node.executedPlan())
+        elif name.endswith("QueryStage"):
+            todo.append(node.plan())
+        else:
+            if "Join" in name or name == "CartesianProduct":
+                joins[name] += 1
+            children = node.children()
+            todo.extend(children.apply(i) for i in range(children.size()))
+    return joins
+
+
+# With eps = 1 the grid cell (0, 0) is [0, 0.707)^2.  It holds two core
+# points and a border point A whose only core neighbours are in its own
+# cell; B (cell (1, 0)) and the two helpers (cell (-1, 0)) are border points
+# whose only core neighbours are in another cell; one point is noise.
+BORDER_PTS = np.array(
+    [[0.1, 0.1]] * 2  # the two core points
+    + [[-0.5, 0.1]] * 2  # the helpers
+    + [[0.6, 0.6], [1.0, 0.1], [5.0, 5.0]]  # A, B, noise
+)
+
+
+def test_only_point_joins_shuffle(spark):
+    """With broadcast joins off in the session, MarkCore's frame and
+    ClusterBorder's result each shuffle for one join, their point-to-point
+    id-join; every join with a driver table is a broadcast hash join."""
+    assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
+    pts_cells, cells, npairs = grid.build_cells(sd.points_df(spark, BORDER_PTS), 1.0, 2)
+    flagged, core_cells = mark_core(spark, pts_cells, 2, 1.0, 5, npairs, cells)
+    labels, _ = build_cell_graph(
+        spark, flagged.where("is_core").select("cell", "x0", "x1"), core_cells, npairs, cells,
+        2, 1.0,
+    )
+    result = cluster_border(spark, flagged, labels, core_cells, cells, npairs, 2, 1.0)
+    assert result_to_pandas(result)["clusters"].map(len).tolist() == [1] * 6 + [0]
+    for df in (flagged, result):
+        joins = _joins(df)
+        assert joins.pop("SortMergeJoin", 0) == 1, joins
+        assert set(joins) == {"BroadcastHashJoin"}, joins
+    for cached in (pts_cells, flagged):
+        cached.unpersist()
+
+
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_border_in_own_and_other_cell(spark, variant):
-    """With eps = 1 the grid cell (0, 0) is [0, 0.707)^2.  It holds two core
-    points and a border point A whose only core neighbours are in its own
-    cell; B (cell (1, 0)) and the two helpers (cell (-1, 0)) are border
-    points whose only core neighbours are in another cell; one point is
-    noise."""
-    clump = [[0.1, 0.1]] * 2
-    helpers = [[-0.5, 0.1]] * 2
-    a, b, noise = [0.6, 0.6], [1.0, 0.1], [5.0, 5.0]
-    pts = np.array(clump + helpers + [a, b, noise])
-    pdf = result_to_pandas(_run_variant_and_check(spark, pts, 1.0, 5, variant))
+    """Border points whose core neighbours are in their own cell or only in
+    another cell; see ``BORDER_PTS``."""
+    pdf = result_to_pandas(_run_variant_and_check(spark, BORDER_PTS, 1.0, 5, variant))
     assert pdf["is_core"].tolist() == [True] * 2 + [False] * 5
     assert pdf["clusters"].map(len).tolist() == [1] * 6 + [0]
 
