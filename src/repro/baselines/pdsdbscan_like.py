@@ -100,12 +100,12 @@ def _merge_kernel(d: int, eps: float):
 def pdsdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int) -> DataFrame:
     """Run the PDSDBSCAN-style baseline; output (id, is_core, clusters)."""
     xc = grid.xcols(d)
-    pts_cells, _, npairs = grid.build_cells(points, eps, d)
+    pts_cells, cells = grid.build_cells(points, eps, d)
 
     # Queries: every point against own cell and all neighbors.
     own = pts_cells.select("id", *xc, F.col("cell").alias("tcell"))
-    if len(npairs):
-        nbr = pts_cells.join(spark.createDataFrame(npairs), "cell").select(
+    if len(cells.pairs):
+        nbr = pts_cells.join(spark.createDataFrame(cells.pairs), "cell").select(
             "id", *xc, F.col("ncell").alias("tcell")
         )
         queries = own.unionByName(nbr)
@@ -179,6 +179,6 @@ def pdsdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int) -> Dat
         )
     ).cache()
     out.count()
-    for cached in (pts_cells, queries, flags):
+    for cached in (queries, flags):
         cached.unpersist()
     return out

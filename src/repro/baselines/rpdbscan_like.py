@@ -20,13 +20,11 @@ that dataflow:
 4. the driver merges the edge lists, runs connected components, and
    relabels (the "cell-graph merging" phase).
 
-Inside each partition a local two-level cell dictionary (integer cell
-coordinates parsed from the key) provides neighbor lookup: offset
-enumeration for d ≤ 3 and k-d tree gap queries for higher dimensions.
+Neighbor lookup inside a partition reads the driver's cell dictionary: the
+neighbour pairs of the grid's cell table travel with the kernel, as
+RP-DBSCAN broadcasts its cell dictionary to every worker.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pandas as pd
@@ -34,23 +32,22 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import grid
-from repro.core.grid import neighbor_offsets
 from repro.primitives.unionfind import UnionFind
 from repro.spatial.bcp import bcp_connected
-from repro.spatial.kdtree import KDTree
 
 
-def _partition_kernel(d: int, eps: float, min_pts: int):
+def _partition_kernel(d: int, eps: float, min_pts: int, pairs: pd.DataFrame):
     """Per-partition kernel over replicated rows.
 
     Input rows: (part, home(bool), cell, id, x*) where home marks the
-    partition's own cells. Output rows are tagged by ``kind``:
-      kind=0: (id, -, -)        core flag for an own-cell point
+    partition's own cells; ``pairs`` is the driver's neighbour table
+    (cell, ncell). Output rows are tagged by ``kind``:
+      kind=0: (id, gcell, -)    core flag for an own-cell point of gcell
       kind=1: (-, gcell, hcell) cell-graph edge between core cells
       kind=2: (id, gcell, -)    border point -> core cell link
     """
     xc = grid.xcols(d)
-    offs = neighbor_offsets(d) if d <= 3 else None
+    g_all, h_all = pairs["cell"].to_numpy(), pairs["ncell"].to_numpy()
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
         ids = pdf["id"].to_numpy()
@@ -58,31 +55,18 @@ def _partition_kernel(d: int, eps: float, min_pts: int):
         cells = pdf["cell"].to_numpy()
         home = pdf["home"].to_numpy()
         eps2 = eps * eps
-        by_cell: dict[str, np.ndarray] = {
-            c: np.asarray(v) for c, v in pdf.groupby("cell", sort=False).indices.items()
+        by_cell: dict[int, np.ndarray] = {
+            int(c): np.asarray(v) for c, v in pdf.groupby("cell", sort=False).indices.items()
         }
         uniq = sorted(by_cell)
-        home_cells = sorted(set(cells[home]))
-        # Local neighbor map from the integer cell coordinates in the keys —
-        # RP-DBSCAN's two-level cell dictionary.
-        coords = np.array([[int(v) for v in c.split(",")] for c in uniq], dtype=np.int64)
-        nbr_map: dict[str, list[str]] = {}
-        if offs is not None:
-            key_of = {tuple(coords[i]): uniq[i] for i in range(len(uniq))}
-            for i, c in enumerate(uniq):
-                nbr_map[c] = [
-                    key_of[t] for t in (tuple(coords[i] + o) for o in offs) if t in key_of
-                ]
-        else:
-            tree = KDTree(coords.astype(np.float64))
-            r = 2.0 * math.sqrt(d) + 1e-9
-            for i, c in enumerate(uniq):
-                cand = tree.query_radius(coords[i].astype(np.float64), r)
-                dc = np.abs(coords[cand] - coords[i])
-                gap2 = (np.maximum(dc - 1, 0) ** 2).sum(axis=1)
-                nbr_map[c] = [uniq[j] for j in cand[gap2 <= d + 1e-9] if j != i]
+        home_cells = sorted(set(cells[home].tolist()))
+        # Neighbors among the cells shipped to this partition.
+        nbr_map: dict[int, list[int]] = {c: [] for c in uniq}
+        present = np.isin(g_all, uniq) & np.isin(h_all, uniq)
+        for a, b in zip(g_all[present].tolist(), h_all[present].tolist()):
+            nbr_map[a].append(b)
 
-        def core_of(c: str) -> np.ndarray:
+        def core_of(c: int) -> np.ndarray:
             idx = by_cell[c]
             if len(idx) >= min_pts:
                 return idx
@@ -98,11 +82,11 @@ def _partition_kernel(d: int, eps: float, min_pts: int):
         # replicated 1-hop cells by the 2-hop closure shipment.  (2-hop cells
         # may get under-counted flags, but they are never within eps of a
         # home cell, so those flags are never consumed.)
-        core_by_cell: dict[str, np.ndarray] = {c: core_of(c) for c in uniq}
+        core_by_cell: dict[int, np.ndarray] = {c: core_of(c) for c in uniq}
         out = []
         for c in home_cells:
             for pid in ids[core_by_cell[c]]:
-                out.append((0, int(pid), "", ""))
+                out.append((0, int(pid), c, -1))
         # Cell-graph edges: home core cell vs neighboring core cells.
         for c in home_cells:
             a = core_by_cell[c]
@@ -130,11 +114,11 @@ def _partition_kernel(d: int, eps: float, min_pts: int):
                 d2 = ((arr[nc][:, None, :] - arr[b][None, :, :]) ** 2).sum(axis=2)
                 hit = (d2 <= eps2).any(axis=1)
                 for pid in ids[nc[hit]]:
-                    out.append((2, int(pid), o, ""))
+                    out.append((2, int(pid), o, -1))
         if not out:
             return pd.DataFrame(
                 {"kind": pd.Series(dtype="int32"), "pid": pd.Series(dtype="int64"),
-                 "gcell": pd.Series(dtype=object), "hcell": pd.Series(dtype=object)}
+                 "gcell": pd.Series(dtype="int64"), "hcell": pd.Series(dtype="int64")}
             )
         return pd.DataFrame(out, columns=["kind", "pid", "gcell", "hcell"])
 
@@ -144,7 +128,8 @@ def _partition_kernel(d: int, eps: float, min_pts: int):
 def rpdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int, n_parts: int = 32) -> DataFrame:
     """Run the RP-DBSCAN-style baseline; output (id, is_core, clusters)."""
     xc = grid.xcols(d)
-    pts_cells, cells, npairs = grid.build_cells(points, eps, d)
+    pts_cells, cells = grid.build_cells(points, eps, d)
+    pairs = cells.pairs
 
     # Pseudo-random cell -> partition map (driver-side dictionary, as
     # RP-DBSCAN's "pseudo random partitioning" builds a cell dictionary).
@@ -155,14 +140,14 @@ def rpdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int, n_parts
     own = pts_cells.join(spark.createDataFrame(part_of), "cell").select(
         "part", F.lit(True).alias("home"), "cell", "id", *xc
     )
-    if len(npairs):
+    if len(pairs):
         # Replicate each cell's points into the partitions owning a neighbor.
-        repl_map = npairs.merge(part_of, on="cell")[["ncell", "part"]].rename(
+        repl_map = pairs.merge(part_of, on="cell")[["ncell", "part"]].rename(
             columns={"ncell": "cell"}
         ).drop_duplicates()
         # 1-hop closure: neighbor cells of neighbors are also shipped so the
         # kernel can mark replicated cells' core flags exactly.
-        hop2 = npairs.merge(
+        hop2 = pairs.merge(
             repl_map.rename(columns={"cell": "ncell"}), on="ncell"
         )[["cell", "part"]].drop_duplicates()
         ship = pd.concat([repl_map, hop2], ignore_index=True).drop_duplicates()
@@ -179,42 +164,22 @@ def rpdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int, n_parts
     raw = (
         repl.groupBy("part")
         .applyInPandas(
-            _partition_kernel(d, eps, min_pts), "kind int, pid long, gcell string, hcell string"
+            _partition_kernel(d, eps, min_pts, pairs), "kind int, pid long, gcell long, hcell long"
         )
         .cache()
     )
-    flags = (
-        raw.where("kind = 0")
-        .select(F.col("pid").alias("id"))
-        .distinct()
-        .withColumn("is_core", F.lit(True))
-    )
+    core_rows = raw.where("kind = 0").select(F.col("pid").alias("id"), F.col("gcell").alias("cell"))
+    flags = core_rows.select("id").distinct().withColumn("is_core", F.lit(True))
     # ---- cell-graph merging on the driver -------------------------------
-    edge_rows = raw.where("kind = 1").select("gcell", "hcell").distinct().collect()
-    core_cell_rows = (
-        raw.where("kind = 0").select(F.col("pid").alias("id"))
-        .join(pts_cells, "id").select("cell").distinct().collect()
-    )
-    core_cells = sorted(
-        {r["gcell"] for r in edge_rows}
-        | {r["hcell"] for r in edge_rows}
-        | {r["cell"] for r in core_cell_rows}
-    )
-    pos = {c: i for i, c in enumerate(core_cells)}
-    uf = UnionFind(len(core_cells))
-    for r in edge_rows:
-        uf.union(pos[r["gcell"]], pos[r["hcell"]])
-    comp = {c: uf.find(i) for c, i in pos.items()}
+    uf = UnionFind(len(cells.pdf))
+    for r in raw.where("kind = 1").select("gcell", "hcell").distinct().collect():
+        uf.union(r["gcell"], r["hcell"])
+    core_cells = [r["cell"] for r in core_rows.select("cell").distinct().collect()]
     lbl_df = spark.createDataFrame(
-        pd.DataFrame({"cell": list(comp), "cluster": [comp[c] for c in comp]}),
-        schema="cell string, cluster long",
+        pd.DataFrame({"cell": core_cells, "cluster": [uf.find(c) for c in core_cells]}),
+        schema="cell long, cluster long",
     )
-    core_assigned = (
-        raw.where("kind = 0").select(F.col("pid").alias("id")).distinct()
-        .join(pts_cells, "id")
-        .join(lbl_df, "cell")
-        .select("id", "cluster")
-    )
+    core_assigned = core_rows.distinct().join(lbl_df, "cell").select("id", "cluster")
     border_assigned = (
         raw.where("kind = 2")
         .select(F.col("pid").alias("id"), F.col("gcell").alias("cell"))
@@ -238,6 +203,5 @@ def rpdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int, n_parts
         )
     ).cache()
     out.count()
-    for cached in (pts_cells, raw):
-        cached.unpersist()
+    raw.unpersist()
     return out

@@ -1,14 +1,15 @@
 """Parallel ClusterBorder (Algorithm 4) on Spark DataFrames; labels every point.
 
 Core points take their cell's cluster through one join with the small
-``(cell, cluster)`` table of the cell graph.  A non-core point p checks the
+``(cell, cluster)`` table of the core cells.  A non-core point p checks the
 core points of its own cell and of each neighboring cell; for each such cell
 with a core point within eps, p joins that cell's cluster.  Border points can
 belong to several clusters (§2), so the result is a per-point set of labels.
 
-The driver picks the cell pairs from the cell table: each cell holding a
-non-core point (``cnt > core_cnt``) is paired with itself and its neighbors,
-and a pair is kept only when its target holds core points.  Only those pairs
+The driver picks the cell pairs from the cell table and the per-cell core
+counts: each cell holding a non-core point (``cnt > core_cnt``) is paired
+with itself and its neighbors, and a pair is kept only when its target holds
+core points.  Only those pairs
 meet in the shared per-target-cell kernel (``cellkernel.per_target_cell``),
 whose per-cell test is a vectorised any-within-eps scan yielding (point,
 cluster) pairs, deduplicated by a shuffle ``collect_set``.  With no pair,
@@ -38,28 +39,24 @@ def _border_check(eps: float):
     return test
 
 
-def _border_pairs(
-    cells: CellTable, core_cells: pd.DataFrame, npairs: pd.DataFrame
-) -> pd.DataFrame:
+def _border_pairs(cells: CellTable, core_cnt: np.ndarray) -> pd.DataFrame:
     """Driver table (cell, tcell): each cell holding a non-core point, paired
     with itself and its neighbors that hold core points."""
-    core_cnt = cells.pdf["cell"].map(dict(zip(core_cells["cell"], core_cells["core_cnt"])))
-    sources = cells.pdf.loc[cells.pdf["cnt"] > core_cnt.fillna(0), ["cell"]]
-    pairs = pd.concat(
-        [sources.assign(tcell=sources["cell"]),
-         sources.merge(npairs, on="cell").rename(columns={"ncell": "tcell"})],
-        ignore_index=True,
-    )
-    return pairs[pairs["tcell"].isin(core_cells["cell"])]
+    has_noncore = cells.pdf["cnt"].to_numpy() > core_cnt
+    own = np.flatnonzero(has_noncore)
+    g, h = cells.pairs["cell"].to_numpy(), cells.pairs["ncell"].to_numpy()
+    nbr = has_noncore[g]
+    pairs = pd.DataFrame({"cell": np.concatenate([own, g[nbr]]),
+                          "tcell": np.concatenate([own, h[nbr]])})
+    return pairs[core_cnt[pairs["tcell"].to_numpy()] > 0]
 
 
 def cluster_border(
     spark,
     flagged: DataFrame,
-    labels: dict[str, int],
-    core_cells: pd.DataFrame,
     cells: CellTable,
-    npairs: pd.DataFrame,
+    core_cnt: np.ndarray,
+    cluster: np.ndarray,
     d: int,
     eps: float,
 ) -> DataFrame:
@@ -67,27 +64,28 @@ def cluster_border(
 
     Parameters
     ----------
-    flagged    : the per-point frame (id, cell, x*, is_core) from MarkCore.
-    labels     : cell -> cluster label of every core cell.
-    core_cells : pandas (cell, core_cnt) — cells with ≥ 1 core point.
-    npairs     : driver neighbor-pair table (cell, ncell), both directions.
+    flagged  : the per-point frame (id, cell, x*, is_core) from MarkCore.
+    cells    : the call's cell table (point count and neighbour pairs).
+    core_cnt : each cell's number of core points, indexed by cell.
+    cluster  : each core cell's cluster label, indexed by cell.
 
     Noise points get an empty array.
     """
     noise = F.array().cast("array<long>")
     noncore = flagged.where(~F.col("is_core"))
-    if not labels:  # no core point: every point is noise
+    core_cells = np.flatnonzero(core_cnt)
+    if not len(core_cells):  # no core point: every point is noise
         return noncore.select("id", "is_core", noise.alias("clusters"))
-    lbl = pd.DataFrame({"cell": list(labels), "cluster": list(labels.values())})
+    lbl = pd.DataFrame({"cell": core_cells, "cluster": cluster[core_cells]})
     core = flagged.where("is_core").join(
-        driver_table(spark, lbl, "cell string, cluster long"), "cell"
+        driver_table(spark, lbl, "cell long, cluster long"), "cell"
     )
-    pairs = _border_pairs(cells, core_cells, npairs)
+    pairs = _border_pairs(cells, core_cnt)
     if len(pairs):
         xc = xcols(d)
-        tcells = driver_table(spark, pairs[["tcell"]].drop_duplicates(), "cell string")
+        tcells = driver_table(spark, pairs[["tcell"]].drop_duplicates(), "cell long")
         border = per_target_cell(
-            noncore.join(driver_table(spark, pairs, "cell string, tcell string"), "cell")
+            noncore.join(driver_table(spark, pairs, "cell long, tcell long"), "cell")
             .select(F.col("id").alias("key"), "tcell", *xc),
             core.join(tcells, "cell").select("cell", *xc, "cluster"),
             d,

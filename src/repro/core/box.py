@@ -11,9 +11,9 @@ The paper parallelises the strip scan with pointer jumping; this
 reproduction runs the equivalent sequential scan with numpy on the driver —
 box construction is a tiny fraction of the runtime and the scan output is
 identical by the paper's own argument (§4.2).  ``build_cells`` returns the
-boxes as the ``CellTable`` shared with grid cells (``repro.core.grid``),
-each box's quadtree root being the square at its low corner that encloses
-it.
+boxes as the ``CellTable`` shared with grid cells (``repro.core.grid``): a
+box cell is its box index, and its quadtree root is the square at its low
+corner that encloses it.
 """
 from __future__ import annotations
 
@@ -104,7 +104,7 @@ def box_neighbor_pairs(boxes: pd.DataFrame, eps: float) -> pd.DataFrame:
     are compared vectorised per strip pair.
     """
     if len(boxes) == 0:
-        return pd.DataFrame({"cell": pd.Series(dtype=object), "ncell": pd.Series(dtype=object)})
+        return pd.DataFrame({"cell": pd.Series(dtype="int64"), "ncell": pd.Series(dtype="int64")})
     eps2 = eps * eps
     by_strip = {s: g for s, g in boxes.groupby("strip")}
     src, dst = [], []
@@ -130,22 +130,20 @@ def box_neighbor_pairs(boxes: pd.DataFrame, eps: float) -> pd.DataFrame:
             keep = ba != bb
             src.extend(ba[keep].tolist())
             dst.extend(bb[keep].tolist())
-    pairs = pd.DataFrame({"a": src, "b": dst}).drop_duplicates()
+    pairs = pd.DataFrame({"cell": src, "ncell": dst}, dtype="int64")
     # Both directions, as the grid neighbor table provides.
-    sym = pd.concat(
-        [pairs, pairs.rename(columns={"a": "b", "b": "a"})], ignore_index=True
-    ).drop_duplicates()
-    sym["cell"] = "b" + sym["a"].astype(str)
-    sym["ncell"] = "b" + sym["b"].astype(str)
-    return sym[["cell", "ncell"]].reset_index(drop=True)
+    return pd.concat(
+        [pairs, pairs.rename(columns={"cell": "ncell", "ncell": "cell"})], ignore_index=True
+    ).drop_duplicates(ignore_index=True)
 
 
-def build_cells(points: DataFrame, eps: float, d: int) -> tuple[DataFrame, CellTable, pd.DataFrame]:
-    """Box cells (2D only): (pts_cells, cells, npairs).
+def build_cells(points: DataFrame, eps: float, d: int) -> tuple[DataFrame, CellTable]:
+    """Box cells (2D only): (pts_cells, cells), ``pts_cells`` being
+    (id, x0, x1, cell).
 
-    ``pts_cells`` (id, x0, x1, cell) is cached; the caller unpersists it.
-    Cell keys are ``b<box index>``.  A NaN, infinite or null coordinate
-    raises ValueError.
+    The points are collected to build the boxes, and ``pts_cells`` is made
+    from that driver copy.  A NaN, infinite or null coordinate raises
+    ValueError.
     """
     if d != 2:
         raise ValueError("box construction is 2D only")
@@ -156,11 +154,8 @@ def build_cells(points: DataFrame, eps: float, d: int) -> tuple[DataFrame, CellT
     if not np.isfinite(xy).all():
         raise ValueError("point coordinates must be finite, found NaN, ±inf or null")
     labels, boxes = box_cells(xy, eps)
-    assign = pd.DataFrame({"id": pdf["id"].to_numpy(), "cell": "b" + pd.Series(labels).astype(str)})
-    pts_cells = (
-        points.join(spark.createDataFrame(assign, "id long, cell string"), "id")
-        .select("id", *xc, "cell")
-        .cache()
+    pts_cells = spark.createDataFrame(
+        pdf.assign(cell=labels), "id long, x0 double, x1 double, cell long"
     )
-    table = boxes[["cnt", "lo0", "lo1", "side"]].assign(cell="b" + boxes["box"].astype(str))
-    return pts_cells, CellTable.of(spark, table, d), box_neighbor_pairs(boxes, eps)
+    table = boxes[["box", "cnt", "lo0", "lo1", "side"]].rename(columns={"box": "cell"})
+    return pts_cells, CellTable.of(spark, table, box_neighbor_pairs(boxes, eps), d)

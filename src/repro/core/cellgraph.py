@@ -23,7 +23,8 @@ reproduced:
 * connectivity-query reduction — a driver-side union-find skips pairs whose
   cells are already in the same component;
 * each pair is checked once (responsible cell = the one with more core
-  points, ties by id);
+  points, ties by the higher cell number), picked by one vectorised mask
+  over the cell table's neighbour pairs;
 * *bucketing* — cells are sorted by core-point count (non-increasing) and
   processed in batches; between batches the union-find prunes queries that
   earlier batches made redundant.  Without bucketing the same loop runs one
@@ -72,22 +73,18 @@ def _connectivity(eps: float, method: str, rho: float):
 
 def _connected_edges(
     spark,
-    edges: list[tuple[int, str, str]],
+    batch: pd.DataFrame,
     core_pts: DataFrame,
     cells: CellTable,
     d: int,
     eps: float,
     method: str,
     rho: float,
-) -> set[int]:
+) -> list[int]:
     """Decide a batch of candidate edges (eid, gcell, hcell) in parallel,
     gcell the responsible cell; returns the connected eids."""
     xc = xcols(d)
-    edf = driver_table(
-        spark,
-        pd.DataFrame(edges, columns=["eid", "gcell", "hcell"]),
-        "eid long, gcell string, hcell string",
-    )
+    edf = driver_table(spark, batch, "eid long, gcell long, hcell long")
     queries = edf.join(core_pts, edf.gcell == core_pts.cell).select(
         F.col("eid").alias("key"), F.col("hcell").alias("tcell"), *xc
     )
@@ -95,14 +92,13 @@ def _connected_edges(
         "cell", *xc, *[f"lo{j}" for j in range(d)], "side"
     )
     res = per_target_cell(queries, targets, d, _connectivity(eps, method, rho))
-    return {r["key"] for r in res.where(F.col("value") == 1).collect()}
+    return [r["key"] for r in res.where(F.col("value") == 1).collect()]
 
 
 def build_cell_graph(
     spark,
     core_pts: DataFrame,
-    core_cells: pd.DataFrame,
-    npairs: pd.DataFrame,
+    core_cnt: np.ndarray,
     cells: CellTable,
     d: int,
     eps: float,
@@ -110,78 +106,68 @@ def build_cell_graph(
     rho: float = 0.01,
     bucketing: bool = False,
     bucket_size: int = 4096,
-) -> tuple[dict[str, int], dict[str, object]]:
-    """Cluster core cells: returns (cell -> component label, stats).
+) -> tuple[np.ndarray, dict[str, object]]:
+    """Cluster core cells: returns (cluster, stats).
+
+    ``cluster`` is indexed by cell: the component label of each cell with a
+    core point, the lowest cell number in its component, and -1 elsewhere.
 
     Parameters
     ----------
-    core_pts   : DataFrame (cell, x*) of core points only (a filter of a cached frame).
-    core_cells : pandas (cell, core_cnt) — cells with ≥ 1 core point.
-    npairs     : pandas neighbor pairs (cell, ncell) over all non-empty cells.
-    cells      : the call's cell table (quadtree root box per cell).
+    core_pts : DataFrame (cell, x*) of core points only (a filter of a cached frame).
+    core_cnt : each cell's number of core points, indexed by cell.
+    cells    : the call's cell table (quadtree root box and neighbour pairs).
     """
-    vertices = core_cells.sort_values("cell", kind="stable").reset_index(drop=True)
-    idx = {c: i for i, c in enumerate(vertices["cell"])}
-    counts = dict(zip(vertices["cell"], vertices["core_cnt"]))
-    uf = UnionFind(len(vertices))
+    vertices = np.flatnonzero(core_cnt)
+    uf = UnionFind(len(core_cnt))
 
-    # Candidate edges: neighboring core-cell pairs, deduplicated; the
-    # responsible cell (more core points, ties by key) is first.
-    cand = npairs[npairs["cell"].isin(idx) & npairs["ncell"].isin(idx)]
-    seen = set()
-    edges = []
-    for g, h in zip(cand["cell"], cand["ncell"]):
-        a, b = (g, h) if (counts[g], g) >= (counts[h], h) else (h, g)
-        if (a, b) in seen:
-            continue
-        seen.add((a, b))
-        edges.append((a, b))
-    stats: dict[str, object] = {"n_core_cells": len(vertices), "n_candidate_edges": len(edges)}
+    # Candidate edges: neighboring core-cell pairs, each once with the
+    # responsible cell (more core points, ties by the higher number) first,
+    # in non-increasing core-count order of the responsible cell.
+    g, h = cells.pairs["cell"].to_numpy(), cells.pairs["ncell"].to_numpy()
+    cg, ch = core_cnt[g], core_cnt[h]
+    keep = (ch > 0) & ((cg > ch) | ((cg == ch) & (g > h)))
+    g, h = g[keep], h[keep]
+    order = np.lexsort((g, -core_cnt[g]))
+    g, h = g[order], h[order]
+    stats: dict[str, object] = {"n_core_cells": len(vertices), "n_candidate_edges": len(g)}
 
     if method == "delaunay":
-        for g, h in _delaunay_cell_edges(core_pts, d, eps):
-            if g in idx and h in idx:
-                uf.union(idx[g], idx[h])
-        stats["n_evaluated"] = len(edges)
+        for a, b in _delaunay_cell_edges(core_pts, d, eps):
+            uf.union(a, b)
+        stats["n_evaluated"] = len(g)
     else:
-        # Responsible cells in non-increasing core-count order, in batches
-        # pruned by the union-find between rounds; without bucketing one batch
-        # holds every candidate edge, so nothing is pruned.
+        # Batches pruned by the union-find between rounds; without bucketing
+        # one batch holds every candidate edge, so nothing is pruned.
         if not bucketing:
-            bucket_size = len(edges)
-        order = sorted(range(len(edges)), key=lambda e: (-counts[edges[e][0]], edges[e][0]))
+            bucket_size = len(g)
         n_evaluated = 0
         pos = 0
-        while pos < len(order):
+        while pos < len(g):
             batch_ids = []
-            while pos < len(order) and len(batch_ids) < bucket_size:
-                e = order[pos]
+            while pos < len(g) and len(batch_ids) < bucket_size:
+                if uf.find(g[pos]) != uf.find(h[pos]):
+                    batch_ids.append(pos)
                 pos += 1
-                g, h = edges[e]
-                if uf.find(idx[g]) != uf.find(idx[h]):
-                    batch_ids.append(e)
             if not batch_ids:
                 continue
-            batch = [(e, *edges[e]) for e in batch_ids]
-            conn = _connected_edges(spark, batch, core_pts, cells, d, eps, method, rho)
+            batch = pd.DataFrame({"eid": batch_ids, "gcell": g[batch_ids], "hcell": h[batch_ids]})
+            for e in _connected_edges(spark, batch, core_pts, cells, d, eps, method, rho):
+                uf.union(g[e], h[e])
             n_evaluated += len(batch_ids)
-            for eid in conn:
-                g, h = edges[eid]
-                uf.union(idx[g], idx[h])
         stats["n_evaluated"] = n_evaluated
 
-    # Canonical component labels: min cell index per component.
-    comp_min: dict[int, int] = {}
-    for c, i in idx.items():
-        r = uf.find(i)
-        if r not in comp_min or i < comp_min[r]:
-            comp_min[r] = i
-    labels = {c: comp_min[uf.find(i)] for c, i in idx.items()}
-    stats["n_clusters"] = len(comp_min)
-    return labels, stats
+    # Canonical component labels: the lowest cell number per component.
+    roots, first, inverse = np.unique(
+        [uf.find(v) for v in vertices], return_index=True, return_inverse=True
+    )
+    cluster = np.full(len(core_cnt), -1, dtype=np.int64)
+    cluster[vertices] = vertices[first][inverse]
+    stats["n_clusters"] = len(roots)
+    return cluster, stats
 
 
-def _delaunay_cell_edges(core_pts: DataFrame, d: int, eps: float) -> set[tuple[str, str]]:
+def _delaunay_cell_edges(core_pts: DataFrame, d: int, eps: float) -> set[tuple[int, int]]:
     """2D Delaunay-based cell edges: DT over all core points, keep cross-cell
     edges with length ≤ eps (Figure 3)."""
     if d != 2:

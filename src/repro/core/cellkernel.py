@@ -7,7 +7,7 @@ ClusterBorder (Alg. 4); this is the grid framework of Gan & Tao
 (SIGMOD 2015).  ``per_target_cell`` runs that step on Spark once for all
 three, and each phase supplies only its per-cell ``test``.
 
-Query rows carry the key of the cell they aim at.  They are cogrouped with
+Query rows carry the number of the cell they aim at.  They are cogrouped with
 the points of those target cells (and any per-cell columns, such as the
 quadtree root box or a cluster label) per bucket ``xxhash64(cell) mod
 N_BUCKETS``, so one Spark task serves many cells.  Inside the task both
@@ -17,13 +17,16 @@ target cell that has both queries and points.
 
 ``CellTable`` is the contract shared by grid (§4.1) and box (§4.2) cells:
 the driver table of non-empty cells — the stand-in for the paper's parallel
-hash table — together with its Spark DataFrame, made once per call.
+hash table — together with its Spark DataFrame, made once per call, and the
+neighbour pairs.  A cell is its row in that table, an integer ``0..m-1``
+(``long`` in every Spark schema), so the phases keep their per-cell facts
+in numpy arrays indexed by cell.
 
-Every cell-scale driver table (the cell table, neighbour pairs, an edge
-batch, cluster labels, border pairs) enters Spark through ``driver_table``
-as a broadcast: the paper's threads read its cell hash table from shared
-memory, and here every task reads a broadcast copy, so a join of such a
-table with a point-scale frame shuffles neither side.  The sessions keep
+Every cell-scale driver table (the cell table, the grid's cell numbers,
+neighbour pairs, an edge batch, cluster labels, border pairs) enters Spark
+through ``driver_table`` as a broadcast: the paper's threads read its cell
+hash table from shared memory, and here every task reads a broadcast copy,
+so a join of such a table with a point-scale frame shuffles neither side.  The sessions keep
 ``autoBroadcastJoinThreshold=-1``, so Spark never broadcasts a point-scale
 frame on its own, and only point-to-point joins shuffle.
 """
@@ -51,22 +54,25 @@ _EMPTY = pd.DataFrame({"key": pd.Series(dtype="int64"), "value": pd.Series(dtype
 class CellTable(NamedTuple):
     """The non-empty cells of one call.
 
-    ``pdf`` is the driver table ``cell, cnt, lo0..lo{d-1}, side``: point
-    count and the square quadtree root box of each cell (grid cells also
-    keep their integer coordinates ``c*``).  ``df`` holds the same columns
-    except ``c*`` as a Spark DataFrame.
+    ``pdf`` is the driver table ``cell, cnt, lo0..lo{d-1}, side`` with
+    ``cell`` equal to the row number: point count and the square quadtree
+    root box of each cell (grid cells also keep their integer coordinates
+    ``c*``).  ``df`` holds the same columns except ``c*`` as a Spark
+    DataFrame.  ``pairs`` is the driver table ``(cell, ncell)`` of
+    neighbouring cells: both directions, no self-pair.
     """
 
     pdf: pd.DataFrame
     df: DataFrame
+    pairs: pd.DataFrame
 
     @classmethod
-    def of(cls, spark: SparkSession, pdf: pd.DataFrame, d: int) -> "CellTable":
+    def of(cls, spark: SparkSession, pdf: pd.DataFrame, pairs: pd.DataFrame, d: int) -> "CellTable":
         locols = [f"lo{j}" for j in range(d)]
         schema = ", ".join(
-            ["cell string", "cnt long", *[f"{c} double" for c in locols], "side double"]
+            ["cell long", "cnt long", *[f"{c} double" for c in locols], "side double"]
         )
-        return cls(pdf, driver_table(spark, pdf[["cell", "cnt", *locols, "side"]], schema))
+        return cls(pdf, driver_table(spark, pdf[["cell", "cnt", *locols, "side"]], schema), pairs)
 
 
 def driver_table(spark: SparkSession, pdf: pd.DataFrame, schema: str) -> DataFrame:
@@ -75,7 +81,7 @@ def driver_table(spark: SparkSession, pdf: pd.DataFrame, schema: str) -> DataFra
 
 
 def bucket(col):
-    """Deterministic bucket id for a cell key column."""
+    """Deterministic bucket id for a cell column."""
     return F.pmod(F.xxhash64(col), F.lit(N_BUCKETS))
 
 

@@ -17,11 +17,13 @@ our-2d-grid-*       d=2, cell_method="grid", graph_method in {bcp,usec,delaunay}
 our-2d-box-*        d=2, cell_method="box",  graph_method in {bcp,usec,delaunay}
 =================  ========================================================
 
-One per-point frame, MarkCore's ``(id, cell, x*, is_core)``, carries a call
-to the result: ClusterCore and ClusterBorder read its rows as filters, and
-ClusterBorder labels every point.  A call caches the points with their
-cells, that frame (unless every cell is dense, when it is a projection of
-the cached points) and the result, and leaves only the result cached.
+A cell is its row in the call's ``CellTable`` (``repro.core.cellkernel``),
+so the phases hand each other per-cell facts as arrays indexed by cell.  One
+per-point frame, MarkCore's ``(id, cell, x*, is_core)``, carries a call to
+the result: ClusterCore and ClusterBorder read its rows as filters, and
+ClusterBorder labels every point.  A call caches that frame (unless every
+cell is dense, when it is a projection of the points with their cells) and
+the result, and leaves only the result cached.
 
 Output: DataFrame (id, is_core, clusters array<long>) — empty array = noise;
 border points may carry several labels.  Cluster labels are canonical core-
@@ -40,7 +42,7 @@ from repro.core.border import cluster_border
 from repro.core.cellgraph import build_cell_graph
 from repro.core.mark_core import mark_core
 
-# Cell construction (§4.1 grid, §4.2 box): points -> (pts_cells, cells, npairs).
+# Cell construction (§4.1 grid, §4.2 box): points -> (pts_cells, cells).
 CELL_METHODS = {"grid": grid.build_cells, "box": boxmod.build_cells}
 
 
@@ -78,21 +80,21 @@ def dbscan(
     stats: dict[str, object] = {}
 
     # ---- cells ----------------------------------------------------------
-    pts_cells, cells, npairs = CELL_METHODS[cell_method](points, eps, d)
+    pts_cells, cells = CELL_METHODS[cell_method](points, eps, d)
     t1 = time.perf_counter()
     stats["n_cells"] = len(cells.pdf)
     stats["t_cells"] = t1 - t0
 
     # ---- mark core ------------------------------------------------------
-    flagged, core_cells = mark_core(
-        spark, pts_cells, d, eps, min_pts, npairs, cells, use_quadtree=markcore_quadtree
+    flagged, core_cnt = mark_core(
+        spark, pts_cells, d, eps, min_pts, cells, use_quadtree=markcore_quadtree
     )
     t2 = time.perf_counter()
     stats["t_markcore"] = t2 - t1
 
     # ---- cluster core ---------------------------------------------------
-    labels, gstats = build_cell_graph(
-        spark, flagged.where("is_core").select("cell", *xc), core_cells, npairs, cells, d, eps,
+    cluster, gstats = build_cell_graph(
+        spark, flagged.where("is_core").select("cell", *xc), core_cnt, cells, d, eps,
         method="approx" if approx else graph_method, rho=rho, bucketing=bucketing,
     )
     stats.update(gstats)
@@ -100,14 +102,13 @@ def dbscan(
     stats["t_clustercore"] = t3 - t2
 
     # ---- cluster border -------------------------------------------------
-    result = cluster_border(spark, flagged, labels, core_cells, cells, npairs, d, eps).cache()
+    result = cluster_border(spark, flagged, cells, core_cnt, cluster, d, eps).cache()
     result.count()
     t4 = time.perf_counter()
     stats["t_border"] = t4 - t3
     stats["t_total"] = t4 - t0
 
-    for cached in (pts_cells, flagged):
-        cached.unpersist()
+    flagged.unpersist()
     if return_stats:
         return result, stats
     return result

@@ -3,12 +3,14 @@
 Points are placed in disjoint d-dimensional cells of side eps/√d, so that any
 two points in the same cell are within eps of each other.  The paper
 semisorts (cell-id, point-id) pairs and stores non-empty cells in a parallel
-hash table; here the cell id is computed with pure Catalyst expressions
-(``floor(x_j / side)``) and the semisort is the shuffle ``groupBy`` that
-counts the points per cell.  The non-empty-cell table — O(#cells), orders
-of magnitude smaller than the input — is collected to the driver, which
-plays the role of the paper's cell hash table; ``build_cells`` returns it
-as the ``CellTable`` shared with box cells (``repro.core.box``).
+hash table; here the cell coordinates are computed with pure Catalyst
+expressions (``floor(x_j / side)``) and the semisort is the shuffle
+``groupBy`` that counts the points per cell.  The non-empty-cell table —
+O(#cells), orders of magnitude smaller than the input — is collected to the
+driver, which plays the role of the paper's cell hash table and numbers the
+cells in coordinate order; ``build_cells`` returns it as the ``CellTable``
+shared with box cells (``repro.core.box``), and the points reach their cell
+number through one broadcast join on the coordinates.
 
 Neighbor cells (cells that can contain a point within eps of a point in the
 current cell) are found either by enumerating integer offsets (feasible for
@@ -26,7 +28,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.cellkernel import CellTable
+from repro.core.cellkernel import CellTable, driver_table
 from repro.spatial.kdtree import KDTree
 
 
@@ -44,39 +46,43 @@ def ccols(d: int) -> list[str]:
 
 
 def with_cells(points: DataFrame, eps: float, d: int) -> DataFrame:
-    """Add integer cell coordinates c0..c{d-1} and a string ``cell`` key."""
+    """The points with their integer cell coordinates: (id, x*, c*)."""
     side = cell_side(eps, d)
-    out = points
-    for j in range(d):
-        out = out.withColumn(f"c{j}", F.floor(F.col(f"x{j}") / F.lit(side)).cast("long"))
-    return out.withColumn("cell", F.concat_ws(",", *[F.col(c).cast("string") for c in ccols(d)]))
+    cc = [F.floor(F.col(x) / F.lit(side)).cast("long").alias(c) for x, c in zip(xcols(d), ccols(d))]
+    return points.select("id", *xcols(d), *cc)
 
 
-def build_cells(points: DataFrame, eps: float, d: int) -> tuple[DataFrame, CellTable, pd.DataFrame]:
-    """Grid cells: (pts_cells, cells, npairs).
+def build_cells(points: DataFrame, eps: float, d: int) -> tuple[DataFrame, CellTable]:
+    """Grid cells: (pts_cells, cells), ``pts_cells`` being (id, x*, cell).
 
-    ``pts_cells`` (id, x*, c*, cell) is cached; the caller unpersists it.
-    Each cell's quadtree root box is the cell itself.  A NaN, infinite or
-    null coordinate raises ValueError; the cell-table job counts them.
+    Cells are numbered in coordinate order.  Each cell's quadtree root box is
+    the cell itself.  A NaN, infinite or null coordinate raises ValueError;
+    the cell-table job counts them.
     """
-    pts_cells = with_cells(points, eps, d).select("id", *xcols(d), *ccols(d), "cell").cache()
-    table = cell_table(pts_cells, d)
+    spark = points.sparkSession
+    pts = with_cells(points, eps, d)
+    table = cell_table(pts, d)
     if table.pop("non_finite").any():
-        pts_cells.unpersist()
         raise ValueError("point coordinates must be finite, found NaN, ±inf or null")
+    table.insert(0, "cell", np.arange(len(table), dtype=np.int64))
     side = cell_side(eps, d)
     for j in range(d):
         table[f"lo{j}"] = table[f"c{j}"].to_numpy(dtype=np.float64) * side
     table["side"] = side
-    npairs = neighbor_pairs(table, d)
-    return pts_cells, CellTable.of(points.sparkSession, table, d), npairs
+    cc = ccols(d)
+    numbers = driver_table(
+        spark, table[["cell", *cc]], ", ".join(["cell long", *[f"{c} long" for c in cc]])
+    )
+    pts_cells = pts.join(numbers, cc).select("id", *xcols(d), "cell")
+    return pts_cells, CellTable.of(spark, table, neighbor_pairs(table, d), d)
 
 
-def cell_table(pts_cells: DataFrame, d: int) -> pd.DataFrame:
-    """Driver-side non-empty cell table: cell key, coords, count, and
-    ``non_finite``, the number of the cell's points with a NaN, infinite or
-    null coordinate.
+def cell_table(pts: DataFrame, d: int) -> pd.DataFrame:
+    """Driver-side non-empty cell table in coordinate order: coords ``c*``,
+    count, and ``non_finite``, the number of the cell's points with a NaN,
+    infinite or null coordinate.
 
+    ``pts`` holds the points with their cell coordinates (``with_cells``).
     This is the reproduction's stand-in for the paper's parallel hash table
     of non-empty cells; it is O(#cells) and drives neighbor finding and the
     cell graph.
@@ -84,14 +90,13 @@ def cell_table(pts_cells: DataFrame, d: int) -> pd.DataFrame:
     non_finite = F.lit(False)
     for x in xcols(d):  # Arrow turns a pandas NaN into a null
         non_finite = non_finite | F.isnull(x) | F.isnan(x) | (F.abs(x) == math.inf)
-    agg = (
-        pts_cells.groupBy("cell", *ccols(d))
+    return (
+        pts.groupBy(*ccols(d))
         .agg(F.count("*").alias("cnt"), F.sum(non_finite.cast("long")).alias("non_finite"))
         .toPandas()
-        .sort_values("cell", kind="stable")
+        .sort_values(ccols(d))
         .reset_index(drop=True)
     )
-    return agg
 
 
 def neighbor_offsets(d: int) -> np.ndarray:
@@ -127,7 +132,7 @@ def neighbor_pairs_enum(cells: pd.DataFrame, d: int) -> pd.DataFrame:
         if len(m):
             out.append(m)
     if not out:
-        return pd.DataFrame({"cell": pd.Series(dtype=object), "ncell": pd.Series(dtype=object)})
+        return pd.DataFrame({"cell": pd.Series(dtype="int64"), "ncell": pd.Series(dtype="int64")})
     return pd.concat(out, ignore_index=True)
 
 

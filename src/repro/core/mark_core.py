@@ -12,7 +12,8 @@ cell is its point count, with no Spark job.  Otherwise the broadcast copy
 gives each point its cell's count, and one left id-join brings the sparse
 points' totals back (a union of dense and sparse rows would double the
 partitions that every later phase scans); the frame is cached, and the
-per-cell core counts are the aggregation whose job fills that cache.  The
+per-cell core counts, an array indexed by cell, are the aggregation whose
+job fills that cache.  The
 RangeCount fan-out is the shared per-target-cell kernel
 (``cellkernel.per_target_cell``); MarkCore's per-cell test is a vectorised
 scan (our-exact) or a per-cell quadtree rooted at the cell's box
@@ -21,7 +22,6 @@ scan (our-exact) or a per-cell quadtree rooted at the cell's box
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -50,32 +50,31 @@ def mark_core(
     d: int,
     eps: float,
     min_pts: int,
-    npairs: pd.DataFrame,
     cells: CellTable,
     use_quadtree: bool = False,
-) -> tuple[DataFrame, pd.DataFrame]:
-    """Return the per-point frame (id, cell, x0..x{d-1}, is_core) and the
-    driver table (cell, core_cnt) of the cells holding a core point.
+) -> tuple[DataFrame, np.ndarray]:
+    """Return the per-point frame (id, cell, x0..x{d-1}, is_core) and
+    ``core_cnt``, each cell's number of core points (an array indexed by cell).
 
     When some cell is sparse the frame is cached; the caller unpersists it.
 
     Parameters
     ----------
-    pts_cells : points with ``cell`` key (id, x*, cell).
-    npairs    : driver neighbor-pair table (cell, ncell), both directions.
-    cells     : the call's cell table (count and quadtree root box per cell).
+    pts_cells : points with their cell (id, x*, cell).
+    cells     : the call's cell table (count, quadtree root box and
+                neighbour pairs of each cell).
     """
     xc = xcols(d)
     base = pts_cells.select("id", "cell", *xc)
-    if (cells.pdf["cnt"] >= min_pts).all():  # no sparse cell: every point is core
-        core_cells = cells.pdf[["cell", "cnt"]].rename(columns={"cnt": "core_cnt"})
-        return base.withColumn("is_core", F.lit(True)), core_cells
+    cnt = cells.pdf["cnt"].to_numpy(dtype=np.int64)
+    if (cnt >= min_pts).all():  # no sparse cell: every point is core
+        return base.withColumn("is_core", F.lit(True)), cnt
 
     pts = base.join(cells.df, "cell")
     sparse = pts.where(F.col("cnt") < min_pts)
     counts = sparse.select(F.col("id").alias("key"), F.col("cnt").alias("value"))
-    if len(npairs):
-        queries = sparse.join(driver_table(spark, npairs, "cell string, ncell string"), "cell")
+    if len(cells.pairs):
+        queries = sparse.join(driver_table(spark, cells.pairs, "cell long, ncell long"), "cell")
         queries = queries.select(F.col("id").alias("key"), F.col("ncell").alias("tcell"), *xc)
         targets = pts.select("cell", *xc, *[f"lo{j}" for j in range(d)], "side")
         counts = counts.unionByName(
@@ -85,10 +84,10 @@ def mark_core(
     # Dense rows have no total; True OR NULL is True.
     is_core = (F.col("cnt") >= min_pts) | (F.col("total") >= min_pts)
     flagged = pts.join(total, "id", "left").select(*base.columns, is_core.alias("is_core")).cache()
-    core_cells = (
-        flagged.groupBy("cell")
-        .agg(F.sum(F.col("is_core").cast("long")).alias("core_cnt"))
-        .where(F.col("core_cnt") > 0)
+    per_cell = (
+        flagged.groupBy("cell").agg(F.sum(F.col("is_core").cast("long")).alias("core_cnt"))
         .toPandas()
     )
-    return flagged, core_cells
+    core_cnt = np.zeros(len(cnt), dtype=np.int64)
+    core_cnt[per_cell["cell"].to_numpy()] = per_cell["core_cnt"].to_numpy()
+    return flagged, core_cnt

@@ -71,8 +71,8 @@ def test_box_neighbor_pairs_complete():
             pb = pts[labels == b]
             d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
             if (d2 <= eps * eps).any():
-                assert (f"b{a}", f"b{b}") in pairs, (a, b)
-                assert (f"b{b}", f"b{a}") in pairs, (b, a)
+                assert (a, b) in pairs, (a, b)
+                assert (b, a) in pairs, (b, a)
 
 
 def test_box_neighbor_pairs_no_self():

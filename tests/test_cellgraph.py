@@ -2,7 +2,6 @@
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro import synth_data as sd
 from repro.core import grid
@@ -13,11 +12,10 @@ from repro.primitives.unionfind import UnionFind
 
 
 def _setup(spark, pts, eps, d, min_pts):
-    df, cells, npairs = grid.build_cells(sd.points_df(spark, pts), eps, d)
-    flags, _ = mark_core(spark, df, d, eps, min_pts, npairs, cells)
+    df, cells = grid.build_cells(sd.points_df(spark, pts), eps, d)
+    flags, core_cnt = mark_core(spark, df, d, eps, min_pts, cells)
     core_pts = df.join(flags.where("is_core").select("id"), "id").select("id", "cell", *grid.xcols(d)).cache()
-    core_cells = core_pts.groupBy("cell").agg(F.count("*").alias("core_cnt")).toPandas()
-    return df, core_pts, core_cells, npairs, cells
+    return df, core_pts, core_cnt, cells
 
 
 def _reference_cell_partition(core_pdf, eps):
@@ -38,10 +36,11 @@ def _reference_cell_partition(core_pdf, eps):
     return set(frozenset(g) for g in groups.values())
 
 
-def _partition_from_labels(labels):
+def _partition_from_labels(cluster):
     groups = {}
-    for c, l in labels.items():
-        groups.setdefault(l, set()).add(c)
+    for c, l in enumerate(cluster):
+        if l >= 0:
+            groups.setdefault(l, set()).add(c)
     return set(frozenset(g) for g in groups.values())
 
 
@@ -52,9 +51,9 @@ def test_methods_match_reference_2d(spark, method, bucketing):
         pytest.skip("delaunay computes all edges at once; bucketing is a no-op")
     pts = sd.seed_spreader(350, 2, seed=10)
     eps, min_pts = 280.0, 8
-    df, core_pts, core_cells, npairs, cells = _setup(spark, pts, eps, 2, min_pts)
+    df, core_pts, core_cnt, cells = _setup(spark, pts, eps, 2, min_pts)
     labels, stats = build_cell_graph(
-        spark, core_pts.select("cell", "x0", "x1"), core_cells, npairs, cells,
+        spark, core_pts.select("cell", "x0", "x1"), core_cnt, cells,
         2, eps, method=method, bucketing=bucketing,
     )
     ref = _reference_cell_partition(core_pts.toPandas(), eps)
@@ -65,9 +64,9 @@ def test_methods_match_reference_2d(spark, method, bucketing):
 def test_bcp_matches_reference_higher_d(spark, d):
     pts = sd.seed_spreader(300, d, seed=d + 20)
     eps, min_pts = 400.0 * np.sqrt(d), 8
-    df, core_pts, core_cells, npairs, cells = _setup(spark, pts, eps, d, min_pts)
+    df, core_pts, core_cnt, cells = _setup(spark, pts, eps, d, min_pts)
     labels, _ = build_cell_graph(
-        spark, core_pts.select("cell", *grid.xcols(d)), core_cells, npairs, cells, d, eps
+        spark, core_pts.select("cell", *grid.xcols(d)), core_cnt, cells, d, eps
     )
     ref = _reference_cell_partition(core_pts.toPandas(), eps)
     assert _partition_from_labels(labels) == ref
@@ -78,8 +77,8 @@ def test_bucketing_prunes_queries(spark):
     produce the identical partition."""
     pts = sd.seed_spreader(500, 2, seed=12)
     eps, min_pts = 350.0, 5
-    df, core_pts, core_cells, npairs, cells = _setup(spark, pts, eps, 2, min_pts)
-    args = (spark, core_pts.select("cell", "x0", "x1"), core_cells, npairs, cells, 2, eps)
+    df, core_pts, core_cnt, cells = _setup(spark, pts, eps, 2, min_pts)
+    args = (spark, core_pts.select("cell", "x0", "x1"), core_cnt, cells, 2, eps)
     labels_flat, stats_flat = build_cell_graph(*args, bucketing=False)
     labels_b, stats_b = build_cell_graph(*args, bucketing=True, bucket_size=64)
     assert _partition_from_labels(labels_flat) == _partition_from_labels(labels_b)
@@ -88,11 +87,11 @@ def test_bucketing_prunes_queries(spark):
 
 def test_no_core_cells(spark):
     pts = sd.seed_spreader(60, 2, seed=13)
-    df, core_pts, core_cells, npairs, cells = _setup(spark, pts, 200.0, 2, 1000)
+    df, core_pts, core_cnt, cells = _setup(spark, pts, 200.0, 2, 1000)
     labels, stats = build_cell_graph(
-        spark, core_pts.select("cell", "x0", "x1"), core_cells, npairs, cells, 2, 200.0
+        spark, core_pts.select("cell", "x0", "x1"), core_cnt, cells, 2, 200.0
     )
-    assert labels == {}
+    assert labels.tolist() == [-1] * len(cells.pdf)
     assert stats["n_clusters"] == 0
 
 
@@ -100,12 +99,12 @@ def test_single_cell_graph(spark):
     rng = np.random.default_rng(5)
     side = grid.cell_side(10.0, 2)
     pts = rng.random((40, 2)) * side * 0.99
-    df, core_pts, core_cells, npairs, cells = _setup(spark, pts, 10.0, 2, 5)
+    df, core_pts, core_cnt, cells = _setup(spark, pts, 10.0, 2, 5)
     labels, stats = build_cell_graph(
-        spark, core_pts.select("cell", "x0", "x1"), core_cells, npairs, cells, 2, 10.0
+        spark, core_pts.select("cell", "x0", "x1"), core_cnt, cells, 2, 10.0
     )
     assert stats["n_clusters"] == 1
-    assert len(set(labels.values())) == 1
+    assert labels.tolist() == [0]
 
 
 def test_cell_edges_oracle_sql(spark):
@@ -113,11 +112,12 @@ def test_cell_edges_oracle_sql(spark):
     min core-point distance ≤ eps (restricted to candidate neighbor pairs)."""
     pts = sd.seed_spreader(250, 2, seed=14)
     eps, min_pts = 300.0, 6
-    df, core_pts, core_cells, npairs, cells = _setup(spark, pts, eps, 2, min_pts)
+    df, core_pts, core_cnt, cells = _setup(spark, pts, eps, 2, min_pts)
     core_pdf = core_pts.toPandas()
     # Spark-side: evaluate all candidate edges via the flat path, reading the
     # UF merges indirectly through the label partition refinement is lossy;
     # instead recompute edges here with the kernel-independent definition.
+    npairs = cells.pairs
     cand = npairs[npairs.cell.isin(set(core_pdf["cell"])) & npairs.ncell.isin(set(core_pdf["cell"]))]
     cand = cand[cand.cell < cand.ncell].reset_index(drop=True)
     rows = []

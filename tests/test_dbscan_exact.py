@@ -10,10 +10,9 @@ from repro.baselines.hpdbscan_like import hpdbscan
 from repro.baselines.naive_parallel import naive_dbscan
 from repro.baselines.pdsdbscan_like import pdsdbscan
 from repro.baselines.rpdbscan_like import rpdbscan
-from repro.core import grid
 from repro.core.border import cluster_border
 from repro.core.cellgraph import build_cell_graph
-from repro.core.dbscan import VARIANTS, dbscan, dbscan_variant
+from repro.core.dbscan import CELL_METHODS, VARIANTS, dbscan, dbscan_variant
 from repro.core.mark_core import mark_core
 from repro.core.validate import (
     assert_same_clustering,
@@ -250,25 +249,26 @@ BORDER_PTS = np.array(
 )
 
 
-def test_only_point_joins_shuffle(spark):
-    """With broadcast joins off in the session, MarkCore's frame and
-    ClusterBorder's result each shuffle for one join, their point-to-point
-    id-join; every join with a driver table is a broadcast hash join."""
+@pytest.mark.parametrize("cell_method", list(CELL_METHODS))
+def test_only_point_joins_shuffle(spark, cell_method):
+    """With broadcast joins off in the session, the points reach their cell
+    with no shuffled join, and MarkCore's frame and ClusterBorder's result
+    each shuffle for one join, their point-to-point id-join; every join with
+    a driver table is a broadcast hash join."""
     assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
-    pts_cells, cells, npairs = grid.build_cells(sd.points_df(spark, BORDER_PTS), 1.0, 2)
-    flagged, core_cells = mark_core(spark, pts_cells, 2, 1.0, 5, npairs, cells)
-    labels, _ = build_cell_graph(
-        spark, flagged.where("is_core").select("cell", "x0", "x1"), core_cells, npairs, cells,
-        2, 1.0,
+    pts_cells, cells = CELL_METHODS[cell_method](sd.points_df(spark, BORDER_PTS), 1.0, 2)
+    assert set(_joins(pts_cells)) <= {"BroadcastHashJoin"}
+    flagged, core_cnt = mark_core(spark, pts_cells, 2, 1.0, 5, cells)
+    cluster, _ = build_cell_graph(
+        spark, flagged.where("is_core").select("cell", "x0", "x1"), core_cnt, cells, 2, 1.0
     )
-    result = cluster_border(spark, flagged, labels, core_cells, cells, npairs, 2, 1.0)
+    result = cluster_border(spark, flagged, cells, core_cnt, cluster, 2, 1.0)
     assert result_to_pandas(result)["clusters"].map(len).tolist() == [1] * 6 + [0]
     for df in (flagged, result):
         joins = _joins(df)
         assert joins.pop("SortMergeJoin", 0) == 1, joins
         assert set(joins) == {"BroadcastHashJoin"}, joins
-    for cached in (pts_cells, flagged):
-        cached.unpersist()
+    flagged.unpersist()
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))

@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 from repro import synth_data as sd
+from repro.core import box as boxmod
 from repro.core import grid
 from repro.oracle import assert_equivalent
 
@@ -25,8 +26,6 @@ def test_with_cells_matches_numpy(spark):
     got = df.toPandas().sort_values("id")
     want = np.floor(pts / side).astype(np.int64)
     assert np.array_equal(got[["c0", "c1"]].to_numpy(), want)
-    # key encodes the coords
-    assert got["cell"].tolist() == [f"{a},{b}" for a, b in want]
 
 
 def test_with_cells_negative_coords(spark):
@@ -44,7 +43,7 @@ def test_same_cell_points_within_eps(spark):
     eps = 1.3
     df = grid.with_cells(sd.points_df(spark, pts), eps, 3)
     pdf = df.toPandas()
-    for _, g in pdf.groupby("cell"):
+    for _, g in pdf.groupby(grid.ccols(3)):
         if len(g) < 2:
             continue
         arr = g[["x0", "x1", "x2"]].to_numpy()
@@ -102,7 +101,7 @@ def _cells_pdf(pts, eps, d):
     side = grid.cell_side(eps, d)
     cc = np.floor(pts / side).astype(np.int64)
     uniq, counts = np.unique(cc, axis=0, return_counts=True)
-    data = {"cell": [",".join(map(str, row)) for row in uniq]}
+    data = {"cell": np.arange(len(uniq))}
     for j in range(d):
         data[f"c{j}"] = uniq[:, j]
     data["cnt"] = counts
@@ -138,15 +137,45 @@ def test_kdtree_pairs_match_bruteforce_gap(d):
 
 
 def test_neighbor_pairs_single_cell():
-    cells = pd.DataFrame({"cell": ["0,0"], "c0": [0], "c1": [0], "cnt": [5]})
+    cells = pd.DataFrame({"cell": [0], "c0": [0], "c1": [0], "cnt": [5]})
     assert len(grid.neighbor_pairs(cells, 2)) == 0
 
 
-def test_cell_boxes_contain_points(spark):
-    pts = sd.seed_spreader(300, 3, seed=8)
-    eps = 400.0
-    df, cells, _ = grid.build_cells(sd.points_df(spark, pts), eps, 3)
-    pdf = df.toPandas().merge(cells.df.toPandas(), on="cell")
-    for j in range(3):
+CELL_CASES = {
+    "grid-2d": (grid.build_cells, 2),
+    "grid-3d": (grid.build_cells, 3),
+    "grid-5d": (grid.build_cells, 5),  # k-d tree neighbour pairs
+    "box": (boxmod.build_cells, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(CELL_CASES))
+def test_cell_table_contract(spark, case):
+    """Grid and box cells keep one contract: a cell is its row of the cell
+    table, every point's cell is a row holding it in its root box, the counts
+    match, and the neighbour pairs are symmetric without self-pairs."""
+    build, d = CELL_CASES[case]
+    pts = np.random.default_rng(8).uniform(-5.0, 5.0, (300, d))
+    eps = 2.0
+    pts_cells, cells = build(sd.points_df(spark, pts), eps, d)
+    m = len(cells.pdf)
+    got = cells.pdf["cell"].to_numpy()
+    assert got.dtype == np.int64 and np.array_equal(got, np.arange(m))
+    if case.startswith("grid"):  # numbered in coordinate order
+        coords = list(map(tuple, cells.pdf[grid.ccols(d)].to_numpy()))
+        assert coords == sorted(coords)
+    pdf = pts_cells.toPandas()
+    assert sorted(pdf.columns) == sorted(["id", *grid.xcols(d), "cell"])
+    assert len(pdf) == len(pts) and pdf["cell"].between(0, m - 1).all()
+    assert np.array_equal(np.bincount(pdf["cell"], minlength=m), cells.pdf["cnt"].to_numpy())
+    pdf = pdf.merge(cells.df.toPandas(), on="cell")
+    for j in range(d):
         assert (pdf[f"x{j}"] >= pdf[f"lo{j}"] - 1e-9).all()
         assert (pdf[f"x{j}"] <= pdf[f"lo{j}"] + pdf["side"] + 1e-9).all()
+    pairs = cells.pairs
+    assert len(pairs) > 0
+    assert (pairs.dtypes == np.int64).all()
+    assert (pairs["cell"] != pairs["ncell"]).all()
+    assert not pairs.duplicated().any()
+    fwd = set(zip(pairs["cell"], pairs["ncell"]))
+    assert fwd == set(zip(pairs["ncell"], pairs["cell"]))
