@@ -27,6 +27,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import grid
+from repro.core.cellkernel import count_within
 from repro.primitives.unionfind import UnionFind
 
 
@@ -61,14 +62,7 @@ def _count_kernel(d: int, eps: float):
         arr = pdf[xc].to_numpy(dtype=np.float64)
         own = pdf["owned"].to_numpy()
         ids = pdf["id"].to_numpy()
-        q = arr[own]
-        eps2 = eps * eps
-        cnt = np.zeros(len(q), dtype=np.int64)
-        block = max(1, (1 << 22) // max(len(arr), 1))
-        for i in range(0, len(q), block):
-            d2 = ((q[i : i + block, None, :] - arr[None, :, :]) ** 2).sum(axis=2)
-            cnt[i : i + block] = (d2 <= eps2).sum(axis=1)
-        return pd.DataFrame({"id": ids[own], "n_nbrs": cnt})
+        return pd.DataFrame({"id": ids[own], "n_nbrs": count_within(arr[own], arr, eps)})
 
     return fn
 

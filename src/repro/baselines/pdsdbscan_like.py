@@ -10,12 +10,13 @@ The defining characteristics the paper measures against (§7.1–7.2):
   partial forests are merged afterwards (exactly PDSDBSCAN's local-DSU +
   merge design, with Spark tasks standing in for threads).
 
-Two passes over the bucketed cell cogroup (cells hashed into buckets, local
-dict index per task): pass 1 counts eps-neighbors pointwise with the shared
-per-target-cell kernel (``repro.core.cellkernel``) to produce core flags;
-pass 2, with core flags joined in, unions core-core pairs locally across the
-whole task and emits spanning-forest edges plus border links.  The driver merges forests
-and assembles the output.
+Two passes over the shared per-block kernel (``cellkernel.per_block``):
+every block reads its own cells plus all their neighbour cells, with no
+dense-cell shortcut.  Pass 1 counts each own point's eps-neighbours
+pointwise to produce core flags; pass 2, over the flagged points, unions
+core-core pairs locally across the whole task and emits spanning-forest
+edges plus border links.  The driver merges forests and assembles the
+output.
 """
 from __future__ import annotations
 
@@ -25,63 +26,73 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import grid
-from repro.core.cellkernel import bucket, count_within, per_target_cell
+from repro.core.cellkernel import blocks, count_within, per_block
 from repro.primitives.unionfind import UnionFind
 
 
-def _merge_kernel(d: int, eps: float):
+def _count_block(cells, d: int, eps: float, min_pts: int):
+    """Pass-1 kernel: each own point's eps-neighbour count against its own
+    cell and every neighbour cell -> (id, cell, x*, is_core)."""
+    xc = grid.xcols(d)
+    start, nbr = cells.neighbours()
+
+    def fn(_b: int, pdf: pd.DataFrame) -> pd.DataFrame:
+        x = pdf[xc].to_numpy(dtype=np.float64)
+        by_cell = pdf.groupby("cell", sort=False).indices
+        home = pdf["home"].to_numpy()
+        is_core = np.zeros(len(pdf), dtype=bool)
+        for g in np.unique(pdf["cell"].to_numpy()[home]):
+            targets = np.concatenate([by_cell[t] for t in (g, *nbr[start[g] : start[g + 1]])])
+            is_core[by_cell[g]] = count_within(x[by_cell[g]], x[targets], eps) >= min_pts
+        return pdf.loc[home, ["id", "cell", *xc]].assign(is_core=is_core[home])
+
+    return fn
+
+
+def _merge_block(cells, d: int, eps: float):
     """Pass-2 kernel: local disjoint-set over core-core eps-pairs (emit the
     spanning forest) + border links noncore -> core."""
     xc = grid.xcols(d)
-    rxc = [f"r{c}" for c in xc]
+    start, nbr = cells.neighbours()
     empty = pd.DataFrame(
         {"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64"),
          "border": pd.Series(dtype="boolean")}
     )
 
-    def fn(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-        if len(left) == 0 or len(right) == 0:
-            return empty
+    def fn(_b: int, pdf: pd.DataFrame) -> pd.DataFrame:
         eps2 = eps * eps
-        q_all = left[xc].to_numpy(dtype=np.float64)
-        qid_all = left["id"].to_numpy()
-        qcore_all = left["is_core"].to_numpy()
-        p_all = right[rxc].to_numpy(dtype=np.float64)
-        pid_all = right["rid"].to_numpy()
-        pcore_all = right["ris_core"].to_numpy()
+        x = pdf[xc].to_numpy(dtype=np.float64)
+        ids = pdf["id"].to_numpy()
+        core = pdf["is_core"].to_numpy()
+        by_cell = pdf.groupby("cell", sort=False).indices
         # Local DSU over point ids seen in this task.
         parent: dict[int, int] = {}
 
-        def find(x: int) -> int:
-            r = x
+        def find(v: int) -> int:
+            r = v
             while parent.setdefault(r, r) != r:
                 r = parent[r]
-            while parent[x] != r:
-                parent[x], x = r, parent[x]
+            while parent[v] != r:
+                parent[v], v = r, parent[v]
             return r
 
         border_a, border_b = [], []
-        rgroups = right.groupby("rcell", sort=False).indices
-        for tcell, lidx in left.groupby("tcell", sort=False).indices.items():
-            ridx = rgroups.get(tcell)
-            if ridx is None:
-                continue
-            q = q_all[lidx]
-            p = p_all[ridx]
-            block = max(1, (1 << 21) // max(len(p), 1))
-            for i in range(0, len(q), block):
-                d2 = ((q[i : i + block, None, :] - p[None, :, :]) ** 2).sum(axis=2)
+        for g in np.unique(pdf["cell"].to_numpy()[pdf["home"].to_numpy()]):
+            qi = by_cell[g]
+            pi = np.concatenate([by_cell[t] for t in (g, *nbr[start[g] : start[g + 1]])])
+            blk = max(1, (1 << 21) // len(pi))
+            for i in range(0, len(qi), blk):
+                d2 = ((x[qi[i : i + blk], None, :] - x[None, pi, :]) ** 2).sum(axis=2)
                 ii, jj = np.nonzero(d2 <= eps2)
-                for a_, b_ in zip(ii + i, jj):
-                    qa = int(qid_all[lidx[a_]])
-                    pb = int(pid_all[ridx[b_]])
-                    if qa == pb:
+                for a_, b_ in zip(qi[ii + i], pi[jj]):
+                    if a_ == b_ or not core[b_]:
                         continue
-                    if qcore_all[lidx[a_]] and pcore_all[ridx[b_]]:
+                    qa, pb = int(ids[a_]), int(ids[b_])
+                    if core[a_]:
                         ra, rb = find(qa), find(pb)
                         if ra != rb:
                             parent[rb] = ra
-                    elif not qcore_all[lidx[a_]] and pcore_all[ridx[b_]]:
+                    else:
                         border_a.append(qa)
                         border_b.append(pb)
         edges_a = [v for v in parent if parent[v] != v]
@@ -101,49 +112,24 @@ def pdsdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int) -> Dat
     """Run the PDSDBSCAN-style baseline; output (id, is_core, clusters)."""
     xc = grid.xcols(d)
     pts_cells, cells = grid.build_cells(points, eps, d)
-
-    # Queries: every point against own cell and all neighbors.
-    own = pts_cells.select("id", *xc, F.col("cell").alias("tcell"))
-    if len(cells.pairs):
-        nbr = pts_cells.join(spark.createDataFrame(cells.pairs), "cell").select(
-            "id", *xc, F.col("ncell").alias("tcell")
-        )
-        queries = own.unionByName(nbr)
-    else:
-        queries = own
-    queries = queries.cache()
+    # Every cell reads itself and all its neighbours: pointwise queries.
+    block = blocks(spark, cells.pdf["cnt"].to_numpy())
+    g, h = cells.pairs["cell"].to_numpy(), cells.pairs["ncell"].to_numpy()
+    need = pd.DataFrame({
+        "cell": np.concatenate([np.arange(len(block)), h]),
+        "block": np.concatenate([block, block[g]]),
+    })
 
     # ---- pass 1: pointwise counts -> core flags -------------------------
-    counts = per_target_cell(
-        queries.withColumnRenamed("id", "key"),
-        pts_cells.select("cell", *xc),
-        d,
-        lambda key, q, p, _: (key, count_within(q, p, eps)),
-    )
-    flags = (
-        counts.groupBy("key")
-        .agg(F.sum("value").alias("n_nbrs"))
-        .select(F.col("key").alias("id"), (F.col("n_nbrs") >= min_pts).alias("is_core"))
-        .cache()
-    )
+    schema = ", ".join(["id long", "cell long", *[f"{x} double" for x in xc], "is_core boolean"])
+    flags = per_block(
+        spark, pts_cells, need, block, _count_block(cells, d, eps, min_pts), schema
+    ).cache()
 
     # ---- pass 2: local disjoint sets + merge ----------------------------
-    q2 = queries.join(flags, "id").withColumn("bucket", bucket(F.col("tcell")))
-    r2 = (
-        pts_cells.select(
-            F.col("id").alias("rid"),
-            F.col("cell").alias("rcell"),
-            *[F.col(c).alias(f"r{c}") for c in xc],
-        )
-        .join(flags.select(F.col("id").alias("rid"), F.col("is_core").alias("ris_core")), "rid")
-        .withColumn("bucket", bucket(F.col("rcell")))
-    )
-    raw = (
-        q2.groupBy("bucket")
-        .cogroup(r2.groupBy("bucket"))
-        .applyInPandas(_merge_kernel(d, eps), "a long, b long, border boolean")
-        .collect()
-    )
+    raw = per_block(
+        spark, flags, need, block, _merge_block(cells, d, eps), "a long, b long, border boolean"
+    ).collect()
     core_ids = {r["id"] for r in flags.where("is_core").collect()}
     order = sorted(core_ids)
     pos = {v: i for i, v in enumerate(order)}
@@ -168,17 +154,11 @@ def pdsdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int) -> Dat
         pd.DataFrame({"id": [r[0] for r in rows], "clusters": [r[1] for r in rows]}),
         schema="id long, clusters array<long>",
     )
+    noise = F.array().cast("array<long>")
     out = (
-        points.select("id")
-        .join(flags, "id", "left")
-        .join(lbl_df, "id", "left")
-        .select(
-            "id",
-            F.coalesce("is_core", F.lit(False)).alias("is_core"),
-            F.coalesce("clusters", F.array().cast("array<long>")).alias("clusters"),
-        )
+        flags.join(lbl_df, "id", "left")
+        .select("id", "is_core", F.coalesce("clusters", noise).alias("clusters"))
     ).cache()
     out.count()
-    for cached in (queries, flags):
-        cached.unpersist()
+    flags.unpersist()
     return out

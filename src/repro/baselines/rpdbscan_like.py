@@ -20,9 +20,12 @@ that dataflow:
 4. the driver merges the edge lists, runs connected components, and
    relabels (the "cell-graph merging" phase).
 
-Neighbor lookup inside a partition reads the driver's cell dictionary: the
-neighbour pairs of the grid's cell table travel with the kernel, as
-RP-DBSCAN broadcasts its cell dictionary to every worker.
+The shipping is the shared per-block kernel (``cellkernel.per_block``):
+the partition map is the blocks, the 1- and 2-hop cells are the halo, and
+the kernel's ``home`` flag marks a partition's own cells.  Neighbor lookup
+inside a partition reads the driver's cell dictionary: the neighbour pairs
+of the grid's cell table travel with the kernel, as RP-DBSCAN broadcasts
+its cell dictionary to every worker.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import grid
+from repro.core.cellkernel import per_block
 from repro.primitives.unionfind import UnionFind
 from repro.spatial.bcp import bcp_connected
 
@@ -39,9 +43,9 @@ from repro.spatial.bcp import bcp_connected
 def _partition_kernel(d: int, eps: float, min_pts: int, pairs: pd.DataFrame):
     """Per-partition kernel over replicated rows.
 
-    Input rows: (part, home(bool), cell, id, x*) where home marks the
-    partition's own cells; ``pairs`` is the driver's neighbour table
-    (cell, ncell). Output rows are tagged by ``kind``:
+    Input rows: (cell, id, x*, block, home(bool)) where ``block`` is the
+    partition and ``home`` marks its own cells; ``pairs`` is the driver's
+    neighbour table (cell, ncell). Output rows are tagged by ``kind``:
       kind=0: (id, gcell, -)    core flag for an own-cell point of gcell
       kind=1: (-, gcell, hcell) cell-graph edge between core cells
       kind=2: (id, gcell, -)    border point -> core cell link
@@ -49,7 +53,7 @@ def _partition_kernel(d: int, eps: float, min_pts: int, pairs: pd.DataFrame):
     xc = grid.xcols(d)
     g_all, h_all = pairs["cell"].to_numpy(), pairs["ncell"].to_numpy()
 
-    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
+    def fn(_b: int, pdf: pd.DataFrame) -> pd.DataFrame:
         ids = pdf["id"].to_numpy()
         arr = pdf[xc].to_numpy(dtype=np.float64)
         cells = pdf["cell"].to_numpy()
@@ -133,41 +137,18 @@ def rpdbscan(spark, points: DataFrame, eps: float, min_pts: int, d: int, n_parts
 
     # Pseudo-random cell -> partition map (driver-side dictionary, as
     # RP-DBSCAN's "pseudo random partitioning" builds a cell dictionary).
-    rng = np.random.default_rng(0)
-    part_of = pd.DataFrame(
-        {"cell": cells.pdf["cell"], "part": rng.integers(0, n_parts, len(cells.pdf))}
-    )
-    own = pts_cells.join(spark.createDataFrame(part_of), "cell").select(
-        "part", F.lit(True).alias("home"), "cell", "id", *xc
-    )
-    if len(pairs):
-        # Replicate each cell's points into the partitions owning a neighbor.
-        repl_map = pairs.merge(part_of, on="cell")[["ncell", "part"]].rename(
-            columns={"ncell": "cell"}
-        ).drop_duplicates()
-        # 1-hop closure: neighbor cells of neighbors are also shipped so the
-        # kernel can mark replicated cells' core flags exactly.
-        hop2 = pairs.merge(
-            repl_map.rename(columns={"cell": "ncell"}), on="ncell"
-        )[["cell", "part"]].drop_duplicates()
-        ship = pd.concat([repl_map, hop2], ignore_index=True).drop_duplicates()
-        # Remove rows already owned.
-        ship = ship.merge(part_of, on="cell", suffixes=("", "_own"))
-        ship = ship[ship["part"] != ship["part_own"]][["cell", "part"]]
-        halo = pts_cells.join(
-            spark.createDataFrame(ship), "cell"
-        ).select("part", F.lit(False).alias("home"), "cell", "id", *xc)
-        repl = own.unionByName(halo)
-    else:
-        repl = own
-
-    raw = (
-        repl.groupBy("part")
-        .applyInPandas(
-            _partition_kernel(d, eps, min_pts, pairs), "kind int, pid long, gcell long, hcell long"
-        )
-        .cache()
-    )
+    part_of = np.random.default_rng(0).integers(0, n_parts, len(cells.pdf))
+    part = pd.DataFrame({"cell": cells.pdf["cell"], "block": part_of})
+    # Replicate each cell's points into the partitions owning a neighbor,
+    # and the neighbours of those (2-hop closure) so the kernel can mark
+    # replicated cells' core flags exactly.
+    hop1 = pairs.merge(part, on="cell")[["ncell", "block"]].rename(columns={"ncell": "cell"})
+    hop2 = pairs.merge(hop1.rename(columns={"cell": "ncell"}), on="ncell")[["cell", "block"]]
+    need = pd.concat([part, hop1, hop2], ignore_index=True)
+    raw = per_block(
+        spark, pts_cells.select("cell", "id", *xc), need, part_of,
+        _partition_kernel(d, eps, min_pts, pairs), "kind int, pid long, gcell long, hcell long",
+    ).cache()
     core_rows = raw.where("kind = 0").select(F.col("pid").alias("id"), F.col("gcell").alias("cell"))
     flags = core_rows.select("id").distinct().withColumn("is_core", F.lit(True))
     # ---- cell-graph merging on the driver -------------------------------

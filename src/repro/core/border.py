@@ -1,21 +1,20 @@
 """Parallel ClusterBorder (Algorithm 4) on Spark DataFrames; labels every point.
 
-Core points take their cell's cluster through one join with the small
-``(cell, cluster)`` table of the core cells.  A non-core point p checks the
-core points of its own cell and of each neighboring cell; for each such cell
-with a core point within eps, p joins that cell's cluster.  Border points can
-belong to several clusters (§2), so the result is a per-point set of labels.
+Core points take their cell's cluster through one broadcast join with the
+small ``(cell, cluster)`` table of the core cells.  A non-core point p
+checks the core points of its own cell and of each neighboring cell; for
+each such cell with a core point within eps, p joins that cell's cluster.
+Border points can belong to several clusters (§2), so the result is a
+per-point set of labels.
 
-The driver picks the cell pairs from the cell table and the per-cell core
-counts: each cell holding a non-core point (``cnt > core_cnt``) is paired
-with itself and its neighbors, and a pair is kept only when its target holds
-core points.  Only those pairs
-meet in the shared per-target-cell kernel (``cellkernel.per_target_cell``),
-whose per-cell test is a vectorised any-within-eps scan yielding (point,
-cluster) pairs, deduplicated by a shuffle ``collect_set``.  With no pair,
-no border check runs and every non-core point is noise.  The labels, the
-pairs and their target cells reach the points by broadcast; the one join
-that shuffles is the id-join that brings the border labels back.
+Non-core points are labelled by the shared per-block kernel
+(``cellkernel.per_block``), blocks weighted by non-core count
+(``cnt - core_cnt``): each block reads its own cells that hold a non-core
+point plus their neighbours that hold core points, and returns its own
+non-core points, each with the sorted, deduplicated labels of the cells
+with a core point within eps (empty for noise).  The result is the core
+rows followed by those rows; with no non-core point it is the core rows
+alone, and with no core point every point is noise and no kernel runs.
 """
 from __future__ import annotations
 
@@ -24,31 +23,36 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.cellkernel import CellTable, count_within, driver_table, per_target_cell
+from repro.core.cellkernel import CellTable, blocks, count_within, driver_table, per_block
 from repro.core.grid import xcols
 
 
-def _border_check(eps: float):
-    """Per-cell test: queries with a core point of the cell within eps get
-    the cell's cluster."""
+def _border_block(cells: CellTable, core_cnt: np.ndarray, cluster: np.ndarray, d: int, eps: float):
+    """Per-block kernel: the block's own non-core points with their labels."""
+    xc = xcols(d)
+    start, nbr = cells.neighbours()
 
-    def test(key, q, p, cluster):
-        hit = count_within(q, p, eps) > 0
-        return key[hit], np.full(int(hit.sum()), cluster[0], dtype=np.int64)
+    def fn(_b: int, pdf: pd.DataFrame) -> pd.DataFrame:
+        x = pdf[xc].to_numpy(dtype=np.float64)
+        core = pdf["is_core"].to_numpy()
+        by_cell = pdf.groupby("cell", sort=False).indices
+        mine = np.flatnonzero(pdf["home"].to_numpy() & ~core)
+        labels: dict[int, set[int]] = {}  # row -> labels of its border cells
+        for g in np.unique(pdf["cell"].to_numpy()[mine]):
+            q = by_cell[g][~core[by_cell[g]]]
+            for t in (g, *nbr[start[g] : start[g + 1]]):
+                if core_cnt[t] == 0:
+                    continue
+                p = by_cell[t]
+                for i in q[count_within(x[q], x[p[core[p]]], eps) > 0]:
+                    labels.setdefault(i, set()).add(int(cluster[t]))
+        return pd.DataFrame({
+            "id": pdf["id"].to_numpy()[mine],
+            "is_core": False,
+            "clusters": [sorted(labels.get(i, ())) for i in mine],
+        })
 
-    return test
-
-
-def _border_pairs(cells: CellTable, core_cnt: np.ndarray) -> pd.DataFrame:
-    """Driver table (cell, tcell): each cell holding a non-core point, paired
-    with itself and its neighbors that hold core points."""
-    has_noncore = cells.pdf["cnt"].to_numpy() > core_cnt
-    own = np.flatnonzero(has_noncore)
-    g, h = cells.pairs["cell"].to_numpy(), cells.pairs["ncell"].to_numpy()
-    nbr = has_noncore[g]
-    pairs = pd.DataFrame({"cell": np.concatenate([own, g[nbr]]),
-                          "tcell": np.concatenate([own, h[nbr]])})
-    return pairs[core_cnt[pairs["tcell"].to_numpy()] > 0]
+    return fn
 
 
 def cluster_border(
@@ -71,32 +75,25 @@ def cluster_border(
 
     Noise points get an empty array.
     """
-    noise = F.array().cast("array<long>")
-    noncore = flagged.where(~F.col("is_core"))
     core_cells = np.flatnonzero(core_cnt)
     if not len(core_cells):  # no core point: every point is noise
-        return noncore.select("id", "is_core", noise.alias("clusters"))
+        return flagged.select("id", "is_core", F.array().cast("array<long>").alias("clusters"))
     lbl = pd.DataFrame({"cell": core_cells, "cluster": cluster[core_cells]})
     core = flagged.where("is_core").join(
         driver_table(spark, lbl, "cell long, cluster long"), "cell"
-    )
-    pairs = _border_pairs(cells, core_cnt)
-    if len(pairs):
-        xc = xcols(d)
-        tcells = driver_table(spark, pairs[["tcell"]].drop_duplicates(), "cell long")
-        border = per_target_cell(
-            noncore.join(driver_table(spark, pairs, "cell long, tcell long"), "cell")
-            .select(F.col("id").alias("key"), "tcell", *xc),
-            core.join(tcells, "cell").select("cell", *xc, "cluster"),
-            d,
-            _border_check(eps),
-        ).groupBy(F.col("key").alias("id")).agg(
-            F.array_sort(F.collect_set("value")).alias("clusters")
-        )
-        noncore = noncore.join(border, "id", "left").withColumn(
-            "clusters", F.coalesce("clusters", noise)
-        )
-    else:
-        noncore = noncore.withColumn("clusters", noise)
-    core = core.select("id", "is_core", F.array("cluster").alias("clusters"))
-    return core.unionByName(noncore.select("id", "is_core", "clusters"))
+    ).select("id", "is_core", F.array("cluster").alias("clusters"))
+    noncore = cells.pdf["cnt"].to_numpy() - core_cnt
+    own = np.flatnonzero(noncore)
+    if not len(own):  # no non-core point
+        return core
+    block = blocks(spark, noncore)
+    g, h = cells.pairs["cell"].to_numpy(), cells.pairs["ncell"].to_numpy()
+    halo = (noncore[g] > 0) & (core_cnt[h] > 0)
+    need = pd.DataFrame({
+        "cell": np.concatenate([own, h[halo]]),
+        "block": np.concatenate([block[own], block[g[halo]]]),
+    })
+    rows = flagged.select("id", "cell", *xcols(d), "is_core")
+    fn = _border_block(cells, core_cnt, cluster, d, eps)
+    schema = "id long, is_core boolean, clusters array<long>"
+    return core.unionByName(per_block(spark, rows, need, block, fn, schema))

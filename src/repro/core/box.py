@@ -158,4 +158,4 @@ def build_cells(points: DataFrame, eps: float, d: int) -> tuple[DataFrame, CellT
         pdf.assign(cell=labels), "id long, x0 double, x1 double, cell long"
     )
     table = boxes[["box", "cnt", "lo0", "lo1", "side"]].rename(columns={"box": "cell"})
-    return pts_cells, CellTable.of(spark, table, box_neighbor_pairs(boxes, eps), d)
+    return pts_cells, CellTable(table, box_neighbor_pairs(boxes, eps))

@@ -14,10 +14,10 @@ Connectivity between a pair is decided by one of the paper's methods:
               filtered to cross-cell edges of length ≤ eps (2D).
 
 Candidate edges are evaluated by Spark in parallel through the shared
-per-target-cell kernel (``cellkernel.per_target_cell``): the responsible
-cell's core points are the queries, aimed at the other cell, and the
-per-cell test runs the chosen method once per source cell against the
-target cell's core points and root box.  The optimisations of §4.4 are
+per-block kernel (``cellkernel.per_block``), blocks weighted by core-point
+count: an edge (g, h) is decided at the block of its responsible cell g,
+which reads the core points of g and h, and the kernel returns the
+connected edges.  The optimisations of §4.4 are
 reproduced:
 
 * connectivity-query reduction — a driver-side union-find skips pairs whose
@@ -36,9 +36,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.core.cellkernel import CellTable, driver_table, per_target_cell
+from repro.core.cellkernel import CellTable, blocks, per_block
 from repro.core.grid import xcols
 from repro.primitives.unionfind import UnionFind
 from repro.spatial.bcp import bcp_connected, connected_approx, connected_via_quadtree
@@ -46,35 +45,50 @@ from repro.spatial.delaunay import delaunay_edges
 from repro.spatial.usec import usec_connected
 
 
-def _connectivity(eps: float, method: str, rho: float):
-    """Per-cell test: the query rows aimed at cell h are the core points of
-    the responsible cells g, one edge id per (g, h); each edge is decided by
-    the chosen connectivity method on g's and h's core points."""
+def _connect_block(
+    batch: pd.DataFrame,
+    block: np.ndarray,
+    cells: CellTable,
+    d: int,
+    eps: float,
+    method: str,
+    rho: float,
+):
+    """Per-block kernel: decide the batch's edges (eid, gcell, hcell) whose
+    responsible cell g is the block's own, by the chosen connectivity method
+    on g's and h's core points (and h's root box); returns the connected eids."""
+    xc = xcols(d)
+    eid, g, h = (batch[c].to_numpy() for c in ("eid", "gcell", "hcell"))
+    boxes = cells.pdf[[f"lo{j}" for j in range(d)] + ["side"]].to_numpy(dtype=np.float64)
 
-    def test(key, q, p, box):
-        order = np.argsort(key, kind="stable")
-        eids, starts = np.unique(key[order], return_index=True)
-        conn = np.zeros(len(eids), dtype=np.int64)
-        for i, pa in enumerate(np.split(q[order], starts[1:])):
+    def fn(b: int, pdf: pd.DataFrame) -> pd.DataFrame:
+        x = pdf[xc].to_numpy(dtype=np.float64)
+        by_cell = pdf.groupby("cell", sort=False).indices
+        mine = np.flatnonzero(block[g] == b)
+        conn = np.zeros(len(mine), dtype=bool)
+        for i, e in enumerate(mine):
+            pa, pb = x[by_cell[g[e]]], x[by_cell[h[e]]]
+            lo, side = boxes[h[e], :-1], float(boxes[h[e], -1])
             if method == "bcp":
-                conn[i] = bcp_connected(pa, p, eps)
+                conn[i] = bcp_connected(pa, pb, eps)
             elif method == "usec":
-                conn[i] = usec_connected(pa, p, eps)
+                conn[i] = usec_connected(pa, pb, eps)
             elif method == "qt":
-                conn[i] = connected_via_quadtree(pa, p, eps, box[:-1], float(box[-1]))
+                conn[i] = connected_via_quadtree(pa, pb, eps, lo, side)
             elif method == "approx":
-                conn[i] = connected_approx(pa, p, eps, rho, box[:-1], float(box[-1]))
+                conn[i] = connected_approx(pa, pb, eps, rho, lo, side)
             else:  # pragma: no cover - guarded by dbscan()
                 raise ValueError(method)
-        return eids, conn
+        return pd.DataFrame({"eid": eid[mine[conn]]})
 
-    return test
+    return fn
 
 
 def _connected_edges(
     spark,
     batch: pd.DataFrame,
     core_pts: DataFrame,
+    block: np.ndarray,
     cells: CellTable,
     d: int,
     eps: float,
@@ -82,17 +96,16 @@ def _connected_edges(
     rho: float,
 ) -> list[int]:
     """Decide a batch of candidate edges (eid, gcell, hcell) in parallel,
-    gcell the responsible cell; returns the connected eids."""
-    xc = xcols(d)
-    edf = driver_table(spark, batch, "eid long, gcell long, hcell long")
-    queries = edf.join(core_pts, edf.gcell == core_pts.cell).select(
-        F.col("eid").alias("key"), F.col("hcell").alias("tcell"), *xc
-    )
-    targets = core_pts.join(cells.df, "cell").select(
-        "cell", *xc, *[f"lo{j}" for j in range(d)], "side"
-    )
-    res = per_target_cell(queries, targets, d, _connectivity(eps, method, rho))
-    return [r["key"] for r in res.where(F.col("value") == 1).collect()]
+    gcell the responsible cell, each at gcell's block, which reads g's and
+    h's core points; returns the connected eids."""
+    gb = block[batch["gcell"].to_numpy()]
+    need = pd.DataFrame({
+        "cell": np.concatenate([batch["gcell"].to_numpy(), batch["hcell"].to_numpy()]),
+        "block": np.concatenate([gb, gb]),
+    })
+    fn = _connect_block(batch, block, cells, d, eps, method, rho)
+    res = per_block(spark, core_pts.select("cell", *xcols(d)), need, block, fn, "eid long")
+    return [r["eid"] for r in res.collect()]
 
 
 def build_cell_graph(
@@ -141,6 +154,7 @@ def build_cell_graph(
         # one batch holds every candidate edge, so nothing is pruned.
         if not bucketing:
             bucket_size = len(g)
+        block = blocks(spark, core_cnt)
         n_evaluated = 0
         pos = 0
         while pos < len(g):
@@ -152,7 +166,7 @@ def build_cell_graph(
             if not batch_ids:
                 continue
             batch = pd.DataFrame({"eid": batch_ids, "gcell": g[batch_ids], "hcell": h[batch_ids]})
-            for e in _connected_edges(spark, batch, core_pts, cells, d, eps, method, rho):
+            for e in _connected_edges(spark, batch, core_pts, block, cells, d, eps, method, rho):
                 uf.union(g[e], h[e])
             n_evaluated += len(batch_ids)
         stats["n_evaluated"] = n_evaluated

@@ -18,7 +18,11 @@ our-2d-box-*        d=2, cell_method="box",  graph_method in {bcp,usec,delaunay}
 =================  ========================================================
 
 A cell is its row in the call's ``CellTable`` (``repro.core.cellkernel``),
-so the phases hand each other per-cell facts as arrays indexed by cell.  One
+so the phases hand each other per-cell facts as arrays indexed by cell.
+MarkCore, ClusterCore and ClusterBorder each run the per-block kernel
+(``cellkernel.per_block``): a block is a run of cells that reads its own
+cells plus a one-cell halo and returns the phase's rows, so no phase joins
+its answer back to the points.  One
 per-point frame, MarkCore's ``(id, cell, x*, is_core)``, carries a call to
 the result: ClusterCore and ClusterBorder read its rows as filters, and
 ClusterBorder labels every point.  A call caches that frame (unless every

@@ -74,7 +74,7 @@ def build_cells(points: DataFrame, eps: float, d: int) -> tuple[DataFrame, CellT
         spark, table[["cell", *cc]], ", ".join(["cell long", *[f"{c} long" for c in cc]])
     )
     pts_cells = pts.join(numbers, cc).select("id", *xcols(d), "cell")
-    return pts_cells, CellTable.of(spark, table, neighbor_pairs(table, d), d)
+    return pts_cells, CellTable(table, neighbor_pairs(table, d))
 
 
 def cell_table(pts: DataFrame, d: int) -> pd.DataFrame:

@@ -6,42 +6,62 @@ their own cell's full count plus a RangeCount against each neighboring cell.
 
 The result is the call's one per-point frame ``(id, cell, x*, is_core)``;
 ClusterCore and ClusterBorder read their points from it as filters.  Both
-counts come from the cell table: when the driver copy holds no sparse cell,
-every point is core, the flag is a literal column and the core count of a
-cell is its point count, with no Spark job.  Otherwise the broadcast copy
-gives each point its cell's count, and one left id-join brings the sparse
-points' totals back (a union of dense and sparse rows would double the
-partitions that every later phase scans); the frame is cached, and the
-per-cell core counts, an array indexed by cell, are the aggregation whose
-job fills that cache.  The
-RangeCount fan-out is the shared per-target-cell kernel
-(``cellkernel.per_target_cell``); MarkCore's per-cell test is a vectorised
-scan (our-exact) or a per-cell quadtree rooted at the cell's box
-(our-exact-qt, §5.2).
+counts come from the cell table: when it holds no sparse cell, every point
+is core, the flag is a literal column and the core count of a cell is its
+point count, with no Spark job.  Otherwise the frame is the output of the
+shared per-block kernel (``cellkernel.per_block``), blocks weighted by
+point count: each block reads its own cells plus, for each sparse cell, its
+neighbour cells, and returns its own points with their flags.  The frame is
+cached, and the per-cell core counts, an array indexed by cell, are the
+aggregation whose job fills that cache.  A sparse cell's RangeCount is a
+vectorised scan (our-exact) or a quadtree rooted at the neighbour cell's
+box (our-exact-qt, §5.2), built once per neighbour cell in a block.
 """
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.cellkernel import CellTable, count_within, driver_table, per_target_cell
+from repro.core.cellkernel import CellTable, blocks, count_within, per_block
 from repro.core.grid import xcols
 from repro.spatial.quadtree import QuadTree
 
 
-def _range_count(eps: float, use_quadtree: bool):
-    """Per-cell test: each query's count of the target cell's points within eps."""
+def _mark_block(cells: CellTable, d: int, eps: float, min_pts: int, use_quadtree: bool):
+    """Per-block kernel: the block's own points with their core flags."""
+    xc = xcols(d)
+    cnt = cells.pdf["cnt"].to_numpy(dtype=np.int64)
+    boxes = cells.pdf[[f"lo{j}" for j in range(d)] + ["side"]].to_numpy(dtype=np.float64)
+    start, nbr = cells.neighbours()
 
-    def test(key, q, p, box):
-        if use_quadtree and len(p) > 32:
-            qt = QuadTree(p, box[:-1], float(box[-1]))
-            cnt = np.fromiter((qt.range_count(row, eps) for row in q), dtype=np.int64, count=len(q))
-        else:
-            cnt = count_within(q, p, eps)
-        return key, cnt
+    def fn(_b: int, pdf: pd.DataFrame) -> pd.DataFrame:
+        x = pdf[xc].to_numpy(dtype=np.float64)
+        by_cell = pdf.groupby("cell", sort=False).indices
+        trees: dict[int, QuadTree] = {}
 
-    return test
+        def range_count(q: np.ndarray, h: int) -> np.ndarray:
+            p = by_cell[h]
+            if not use_quadtree or len(p) <= 32:
+                return count_within(q, x[p], eps)
+            if h not in trees:
+                trees[h] = QuadTree(x[p], boxes[h, :-1], float(boxes[h, -1]))
+            return np.fromiter((trees[h].range_count(r, eps) for r in q), np.int64, len(q))
+
+        home = pdf["home"].to_numpy()
+        is_core = np.ones(len(pdf), dtype=bool)
+        for g in np.unique(pdf["cell"].to_numpy()[home]):
+            if cnt[g] >= min_pts:
+                continue
+            own = by_cell[g]
+            total = np.full(len(own), cnt[g], dtype=np.int64)
+            for h in nbr[start[g] : start[g + 1]]:
+                total += range_count(x[own], h)
+            is_core[own] = total >= min_pts
+        return pdf.loc[home, ["id", "cell", *xc]].assign(is_core=is_core[home])
+
+    return fn
 
 
 def mark_core(
@@ -70,20 +90,17 @@ def mark_core(
     if (cnt >= min_pts).all():  # no sparse cell: every point is core
         return base.withColumn("is_core", F.lit(True)), cnt
 
-    pts = base.join(cells.df, "cell")
-    sparse = pts.where(F.col("cnt") < min_pts)
-    counts = sparse.select(F.col("id").alias("key"), F.col("cnt").alias("value"))
-    if len(cells.pairs):
-        queries = sparse.join(driver_table(spark, cells.pairs, "cell long, ncell long"), "cell")
-        queries = queries.select(F.col("id").alias("key"), F.col("ncell").alias("tcell"), *xc)
-        targets = pts.select("cell", *xc, *[f"lo{j}" for j in range(d)], "side")
-        counts = counts.unionByName(
-            per_target_cell(queries, targets, d, _range_count(eps, use_quadtree))
-        )
-    total = counts.groupBy(F.col("key").alias("id")).agg(F.sum("value").alias("total"))
-    # Dense rows have no total; True OR NULL is True.
-    is_core = (F.col("cnt") >= min_pts) | (F.col("total") >= min_pts)
-    flagged = pts.join(total, "id", "left").select(*base.columns, is_core.alias("is_core")).cache()
+    block = blocks(spark, cnt)
+    g, h = cells.pairs["cell"].to_numpy(), cells.pairs["ncell"].to_numpy()
+    sparse = cnt[g] < min_pts
+    need = pd.DataFrame({
+        "cell": np.concatenate([np.arange(len(cnt)), h[sparse]]),
+        "block": np.concatenate([block, block[g[sparse]]]),
+    })
+    schema = ", ".join(["id long", "cell long", *[f"{x} double" for x in xc], "is_core boolean"])
+    flagged = per_block(
+        spark, base, need, block, _mark_block(cells, d, eps, min_pts, use_quadtree), schema
+    ).cache()
     per_cell = (
         flagged.groupBy("cell").agg(F.sum(F.col("is_core").cast("long")).alias("core_cnt"))
         .toPandas()

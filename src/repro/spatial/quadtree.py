@@ -1,7 +1,7 @@
 """From-scratch 2^d-ary quadtree for (approximate) RangeCount queries (§5.2).
 
 One quadtree is built per grid cell, *inside* the Spark task that processes
-that cell (cogrouped ``applyInPandas``), which is this reproduction's analogue
+that cell's block (``applyInPandas`` per block), which is this reproduction's analogue
 of the paper's parallel per-cell quadtree construction: cells are processed in
 parallel by Spark, the per-cell build is local.
 

@@ -198,9 +198,11 @@ def test_rejects_non_finite(spark, cell_method):
 
 
 @pytest.mark.parametrize("partitions", [1, 7, 64])
-@pytest.mark.parametrize("variant", ["our-exact", "our-exact-bucketing", "our-2d-box-bcp"])
+@pytest.mark.parametrize("variant", list(VARIANTS))
 def test_result_independent_of_shuffle_partitions(spark, variant, partitions):
-    """The clustering does not depend on the shuffle partition count; the
+    """The clustering does not depend on the shuffle partition count, which
+    is also the block count, so every phase's halo crosses block boundaries
+    (5 % noise puts border points next to other blocks' cells); the
     session's setting is restored afterwards."""
     key = "spark.sql.shuffle.partitions"
     saved = spark.conf.get(key)
@@ -250,11 +252,10 @@ BORDER_PTS = np.array(
 
 
 @pytest.mark.parametrize("cell_method", list(CELL_METHODS))
-def test_only_point_joins_shuffle(spark, cell_method):
-    """With broadcast joins off in the session, the points reach their cell
-    with no shuffled join, and MarkCore's frame and ClusterBorder's result
-    each shuffle for one join, their point-to-point id-join; every join with
-    a driver table is a broadcast hash join."""
+def test_no_shuffled_join(spark, cell_method):
+    """With broadcast joins off in the session, every join that makes the
+    points with their cell, MarkCore's frame and ClusterBorder's result is a
+    broadcast hash join with a driver table: no join shuffles."""
     assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
     pts_cells, cells = CELL_METHODS[cell_method](sd.points_df(spark, BORDER_PTS), 1.0, 2)
     assert set(_joins(pts_cells)) <= {"BroadcastHashJoin"}
@@ -265,9 +266,7 @@ def test_only_point_joins_shuffle(spark, cell_method):
     result = cluster_border(spark, flagged, cells, core_cnt, cluster, 2, 1.0)
     assert result_to_pandas(result)["clusters"].map(len).tolist() == [1] * 6 + [0]
     for df in (flagged, result):
-        joins = _joins(df)
-        assert joins.pop("SortMergeJoin", 0) == 1, joins
-        assert set(joins) == {"BroadcastHashJoin"}, joins
+        assert set(_joins(df)) == {"BroadcastHashJoin"}, _joins(df)
     flagged.unpersist()
 
 

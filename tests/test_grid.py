@@ -168,7 +168,7 @@ def test_cell_table_contract(spark, case):
     assert sorted(pdf.columns) == sorted(["id", *grid.xcols(d), "cell"])
     assert len(pdf) == len(pts) and pdf["cell"].between(0, m - 1).all()
     assert np.array_equal(np.bincount(pdf["cell"], minlength=m), cells.pdf["cnt"].to_numpy())
-    pdf = pdf.merge(cells.df.toPandas(), on="cell")
+    pdf = pdf.merge(cells.pdf, on="cell")
     for j in range(d):
         assert (pdf[f"x{j}"] >= pdf[f"lo{j}"] - 1e-9).all()
         assert (pdf[f"x{j}"] <= pdf[f"lo{j}"] + pdf["side"] + 1e-9).all()
