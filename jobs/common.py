@@ -39,11 +39,13 @@ from repro import synth_data as sd  # noqa: E402
 
 def get_spark(app: str) -> SparkSession:
     """The jobs' session: one shuffle partition per core (SPARK_SHUFFLE_PARTITIONS
-    overrides), Arrow on, and only explicitly hinted (cell-scale) tables
-    broadcast."""
+    overrides), adaptive execution off (the shuffles are already sized, and
+    it would run each shuffle stage as its own job), Arrow on, and only
+    explicitly hinted (cell-scale) tables broadcast."""
     s = (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
+        .config("spark.sql.adaptive.enabled", "false")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.driver.host", "127.0.0.1")

@@ -35,8 +35,7 @@ def main() -> None:
     print(f"FIG8 impl=seq-gridbscan threads=1 time={t_serial:.2f}s")
 
     for k in args.threads:
-        env = dict(os.environ, SPARK_MASTER=f"local[{k}]",
-                   SPARK_SHUFFLE_PARTITIONS=str(max(4 * k, 8)))
+        env = dict(os.environ, SPARK_MASTER=f"local[{k}]")
         out = subprocess.run(
             [sys.executable, "jobs/run_exact.py", "--dataset", "ss-simden",
              "--n", str(args.n), "--d", str(args.d), "--eps", str(args.eps),

@@ -16,11 +16,13 @@ Neighbor cells (cells that can contain a point within eps of a point in the
 current cell) are found either by enumerating integer offsets (feasible for
 d ≤ 3, §4.1) or by range queries on a k-d tree over the non-empty cells
 (the paper's §5.1 approach for higher d; ours is built driver-side —
-substitution documented in DESIGN.md).
+substitution documented in DESIGN.md).  The paper probes its hash table once
+per (cell, offset), in parallel; here all those probes are one pandas merge
+of the broadcast (cell, offset) shifts with the cell table, in chunks of at
+most ~4M shifts.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -102,37 +104,31 @@ def cell_table(pts: DataFrame, d: int) -> pd.DataFrame:
 def neighbor_offsets(d: int) -> np.ndarray:
     """Integer offsets o ≠ 0 such that cells at offset o can contain points
     within eps: Σ_j max(|o_j|-1, 0)² ≤ d  (cell side = eps/√d)."""
-    r = int(math.isqrt(d)) + 1
-    offs = []
-    for o in itertools.product(range(-r, r + 1), repeat=d):
-        if all(v == 0 for v in o):
-            continue
-        s = sum(max(abs(v) - 1, 0) ** 2 for v in o)
-        if s <= d:
-            offs.append(o)
-    return np.array(offs, dtype=np.int64)
+    r = math.isqrt(d) + 1
+    offs = np.indices((2 * r + 1,) * d).reshape(d, -1).T - r  # in lexicographic order
+    keep = ((np.maximum(np.abs(offs) - 1, 0) ** 2).sum(axis=1) <= d) & (offs != 0).any(axis=1)
+    return offs[keep].astype(np.int64)
 
 
 def neighbor_pairs_enum(cells: pd.DataFrame, d: int) -> pd.DataFrame:
-    """Neighbor pairs by offset enumeration (d ≤ 3): pandas merge per offset.
+    """Neighbor pairs by offset enumeration (d ≤ 3): every (cell, offset)
+    shift of a chunk of cells, made by numpy broadcasting, in one merge with
+    the cell table; a chunk holds at most ~4M shifted rows.
 
     Returns a directed pair table (cell, ncell) excluding self-pairs; both
-    directions are present.
+    directions are present.  Cells numbered in coordinate order give pairs
+    sorted by (cell, ncell).
     """
     cc = ccols(d)
-    base = cells[["cell"] + cc]
+    table = cells[["cell", *cc]].rename(columns={"cell": "ncell"})
+    coords, keys = cells[cc].to_numpy(dtype=np.int64), cells["cell"].to_numpy(dtype=np.int64)
+    offs = neighbor_offsets(d)
+    chunk = max(1, (1 << 22) // len(offs))
     out = []
-    for off in neighbor_offsets(d):
-        shifted = base.copy()
-        for j in range(d):
-            shifted[cc[j]] = shifted[cc[j]] + off[j]
-        m = shifted.merge(
-            base.rename(columns={"cell": "ncell"}), on=cc, how="inner"
-        )[["cell", "ncell"]]
-        if len(m):
-            out.append(m)
-    if not out:
-        return pd.DataFrame({"cell": pd.Series(dtype="int64"), "ncell": pd.Series(dtype="int64")})
+    for i in range(0, max(len(coords), 1), chunk):  # no cells: one empty int64 merge
+        shifted = pd.DataFrame((coords[i : i + chunk, None, :] + offs).reshape(-1, d), columns=cc)
+        shifted["cell"] = np.repeat(keys[i : i + chunk], len(offs))
+        out.append(shifted.merge(table, on=cc)[["cell", "ncell"]])
     return pd.concat(out, ignore_index=True)
 
 
@@ -149,18 +145,15 @@ def neighbor_pairs_kdtree(cells: pd.DataFrame, d: int) -> pd.DataFrame:
     coords = cells[cc].to_numpy(dtype=np.float64)
     tree = KDTree(coords)
     radius = 2.0 * math.sqrt(d) + 1e-9
-    src, dst = [], []
+    src, dst = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for i in range(len(coords)):
         cand = tree.query_radius(coords[i], radius)
-        dc = np.abs(coords[cand] - coords[i])
-        gap2 = (np.maximum(dc - 1.0, 0.0) ** 2).sum(axis=1)
-        ok = cand[(gap2 <= d + 1e-9)]
-        for j in ok:
-            if j != i:
-                src.append(i)
-                dst.append(j)
-    keys = cells["cell"].to_numpy()
-    return pd.DataFrame({"cell": keys[src], "ncell": keys[dst]})
+        gap2 = (np.maximum(np.abs(coords[cand] - coords[i]) - 1.0, 0.0) ** 2).sum(axis=1)
+        ok = cand[(gap2 <= d + 1e-9) & (cand != i)]
+        src.append(np.full(len(ok), i, dtype=np.int64))
+        dst.append(ok)
+    keys = cells["cell"].to_numpy(dtype=np.int64)
+    return pd.DataFrame({"cell": keys[np.concatenate(src)], "ncell": keys[np.concatenate(dst)]})
 
 
 def neighbor_pairs(cells: pd.DataFrame, d: int) -> pd.DataFrame:

@@ -256,6 +256,10 @@ def test_no_shuffled_join(spark, cell_method):
     """With broadcast joins off in the session, every join that makes the
     points with their cell, MarkCore's frame and ClusterBorder's result is a
     broadcast hash join with a driver table: no join shuffles."""
+    _check_no_shuffled_join(spark, cell_method)
+
+
+def _check_no_shuffled_join(spark, cell_method):
     assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
     pts_cells, cells = CELL_METHODS[cell_method](sd.points_df(spark, BORDER_PTS), 1.0, 2)
     assert set(_joins(pts_cells)) <= {"BroadcastHashJoin"}
@@ -282,18 +286,59 @@ def test_border_in_own_and_other_cell(spark, variant):
 @pytest.mark.parametrize("min_pts", [1, 8], ids=["all-core", "with-noise"])
 def test_job_count_same_across_calls(spark, min_pts):
     """Clean calls on one cached input run the same number of Spark jobs."""
+    _check_job_count_same(spark, min_pts, "test-job-count")
+
+
+def _check_job_count_same(spark, min_pts, group):
     pts = sd.seed_spreader(300, 2, seed=30, noise_frac=0.05)
     df = sd.points_df(spark, pts).cache()
     df.count()
     jobs = []
     for i in range(3):
         res, n = _jobs_in_group(
-            spark, f"test-job-count-{min_pts}-{i}", lambda: dbscan(spark, df, 250.0, min_pts, 2)
+            spark, f"{group}-{min_pts}-{i}", lambda: dbscan(spark, df, 250.0, min_pts, 2)
         )
         res.unpersist()
         jobs.append(n)
     df.unpersist()
     assert len(set(jobs)) == 1, jobs
+
+
+@pytest.fixture
+def jobs_session(spark):
+    """The test session with the jobs' settings (``jobs.common.get_spark``):
+    adaptive execution off and one shuffle partition per core of a 4-core
+    box.  The session fixture keeps adaptive execution on with 64 partitions,
+    where every kernel stage would otherwise run 64 pandas tasks; both confs
+    are restored afterwards."""
+    confs = {"spark.sql.adaptive.enabled": "false", "spark.sql.shuffle.partitions": "4"}
+    saved = {k: spark.conf.get(k) for k in confs}
+    for k, v in confs.items():
+        spark.conf.set(k, v)
+    try:
+        yield spark
+    finally:
+        for k, v in saved.items():
+            spark.conf.set(k, v)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_jobs_session_matches_brute(jobs_session, variant):
+    """Every variant in the jobs' session: exact ones equal brute force,
+    approximate ones keep the rho-approximate semantics."""
+    pts = sd.seed_spreader(300, 2, seed=32, noise_frac=0.05)
+    _run_variant_and_check(jobs_session, pts, 250.0, 8, variant)
+
+
+@pytest.mark.parametrize("cell_method", list(CELL_METHODS))
+def test_jobs_session_no_shuffled_join(jobs_session, cell_method):
+    assert jobs_session.conf.get("spark.sql.adaptive.enabled") == "false"
+    _check_no_shuffled_join(jobs_session, cell_method)
+
+
+@pytest.mark.parametrize("min_pts", [1, 8], ids=["all-core", "with-noise"])
+def test_jobs_session_job_count_same_across_calls(jobs_session, min_pts):
+    _check_job_count_same(jobs_session, min_pts, "test-jobs-session-job-count")
 
 
 def test_duplicate_points(spark):

@@ -1,4 +1,5 @@
 """Tests for grid cell construction and neighbor finding (repro.core.grid)."""
+import itertools
 import math
 
 import numpy as np
@@ -97,21 +98,31 @@ def test_neighbor_offsets_correctness_2d():
                 assert (ox, oy) not in offs, (ox, oy)
 
 
-def _cells_pdf(pts, eps, d):
-    side = grid.cell_side(eps, d)
-    cc = np.floor(pts / side).astype(np.int64)
-    uniq, counts = np.unique(cc, axis=0, return_counts=True)
-    data = {"cell": np.arange(len(uniq))}
-    for j in range(d):
-        data[f"c{j}"] = uniq[:, j]
-    data["cnt"] = counts
-    return pd.DataFrame(data)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_neighbor_offsets_match_loop(d):
+    """The vectorised offsets equal the per-offset loop, in lexicographic
+    order (which keeps the enumerated pairs sorted)."""
+    r = math.isqrt(d) + 1
+    want = [
+        o for o in itertools.product(range(-r, r + 1), repeat=d)
+        if any(o) and sum(max(abs(v) - 1, 0) ** 2 for v in o) <= d
+    ]
+    got = grid.neighbor_offsets(d)
+    assert got.dtype == np.int64 and got.tolist() == [list(o) for o in want]
+
+
+def _table(coords):
+    """A cell table over distinct integer cell coordinates, numbered in
+    coordinate order."""
+    uniq = np.unique(np.asarray(coords, dtype=np.int64), axis=0)
+    cols = {f"c{j}": uniq[:, j] for j in range(uniq.shape[1])}
+    return pd.DataFrame({"cell": np.arange(len(uniq)), **cols})
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_enum_equals_kdtree_pairs(d):
     pts = sd.seed_spreader(400, d, seed=6)
-    cells = _cells_pdf(pts, 300.0, d)
+    cells = _table(np.floor(pts / grid.cell_side(300.0, d)))
     a = grid.neighbor_pairs_enum(cells, d)
     b = grid.neighbor_pairs_kdtree(cells, d)
     sa = set(zip(a["cell"], a["ncell"]))
@@ -119,10 +130,65 @@ def test_enum_equals_kdtree_pairs(d):
     assert sa == sb
 
 
+def _gap_pairs(cells, d):
+    """Brute force: every ordered pair of distinct cells whose boxes are
+    within eps, Σ_j max(|Δc_j| - 1, 0)² ≤ d.  Such cells are at most 1 + √d
+    apart in c0, so each c0 slab is compared only with the slabs that close."""
+    c = cells[grid.ccols(d)].to_numpy()
+    keys = cells["cell"].to_numpy()
+    reach = 1 + math.isqrt(d)
+    pairs = set()
+    for v in np.unique(c[:, 0]):
+        a = np.flatnonzero(c[:, 0] == v)
+        b = np.flatnonzero(np.abs(c[:, 0] - v) <= reach)
+        gap2 = (np.maximum(np.abs(c[a, None, :] - c[None, b, :]) - 1, 0) ** 2).sum(axis=2)
+        i, j = np.nonzero((gap2 <= d) & (a[:, None] != b[None, :]))
+        pairs.update(zip(keys[a[i]].tolist(), keys[b[j]].tolist()))
+    return pairs
+
+
+def _rand_coords(d, seed):
+    """Cell coordinates around the origin, negative ones included, plus a
+    clump 10^12 cells away in every coordinate."""
+    rng = np.random.default_rng(seed)
+    near = rng.integers(-6, 6, (300, d))
+    far = rng.integers(-2, 3, (40, d)) + np.where(rng.random(d) < 0.5, -1, 1) * 10**12
+    return np.vstack([near, far])
+
+
+ENUM_CASES = {
+    **{f"random-{d}d": (d, _rand_coords(d, d)) for d in (1, 2, 3)},
+    **{f"empty-{d}d": (d, np.empty((0, d))) for d in (1, 2, 3)},
+    **{f"one-{d}d": (d, np.full((1, d), -7)) for d in (1, 2, 3)},
+    # ~40k cells: more than one chunk of (1 << 22) // 124 cells in 3-d
+    "multi-chunk-3d": (
+        3, np.random.default_rng(9).integers([-500, -10, -10], [500, 10, 10], (42000, 3))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ENUM_CASES))
+def test_enum_pairs_match_bruteforce_gap(case):
+    """Offset enumeration finds exactly the brute-force neighbour pairs: int64
+    columns, symmetric, no self-pair and no duplicate."""
+    d, coords = ENUM_CASES[case]
+    cells = _table(coords)
+    if case.startswith("multi-chunk"):
+        assert len(cells) > (1 << 22) // len(grid.neighbor_offsets(d))
+    pairs = grid.neighbor_pairs_enum(cells, d)
+    assert list(pairs.columns) == ["cell", "ncell"]
+    assert (pairs.dtypes == np.int64).all()
+    assert (pairs["cell"] != pairs["ncell"]).all()
+    assert not pairs.duplicated().any()
+    got = set(zip(pairs["cell"].tolist(), pairs["ncell"].tolist()))
+    assert got == {(b, a) for a, b in got}
+    assert got == _gap_pairs(cells, d)
+
+
 @pytest.mark.parametrize("d", [5, 7])
 def test_kdtree_pairs_match_bruteforce_gap(d):
     pts = sd.seed_spreader(200, d, seed=7)
-    cells = _cells_pdf(pts, 2000.0, d)
+    cells = _table(np.floor(pts / grid.cell_side(2000.0, d)))
     got = set(zip(*(grid.neighbor_pairs_kdtree(cells, d)[c] for c in ("cell", "ncell"))))
     coords = cells[[f"c{j}" for j in range(d)]].to_numpy()
     keys = cells["cell"].to_numpy()
