@@ -83,3 +83,21 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def jobs_session(spark):
+    """The test session with the jobs' settings (``jobs.common.get_spark``):
+    adaptive execution off and one shuffle partition per core of a 4-core
+    box.  The session fixture keeps adaptive execution on with 64 partitions,
+    where every kernel stage would otherwise run 64 pandas tasks; both confs
+    are restored afterwards."""
+    confs = {"spark.sql.adaptive.enabled": "false", "spark.sql.shuffle.partitions": "4"}
+    saved = {k: spark.conf.get(k) for k in confs}
+    for k, v in confs.items():
+        spark.conf.set(k, v)
+    try:
+        yield spark
+    finally:
+        for k, v in saved.items():
+            spark.conf.set(k, v)

@@ -3,7 +3,7 @@
 Each job builds its own SparkSession (they run standalone via spark-submit
 or plain python, not under the pytest fixture).  ``--master`` can be
 overridden through the SPARK_MASTER environment variable, which is how
-``speedup_sweep.py`` runs the same job under local[1], local[2], ...
+``experiments.py`` runs Fig. 9's thread rows under local[1], local[2], ...
 
 Importing this module puts the repository's ``src`` on the driver's
 ``sys.path`` and on ``PYTHONPATH``, which the Python workers inherit when

@@ -304,24 +304,6 @@ def _check_job_count_same(spark, min_pts, group):
     assert len(set(jobs)) == 1, jobs
 
 
-@pytest.fixture
-def jobs_session(spark):
-    """The test session with the jobs' settings (``jobs.common.get_spark``):
-    adaptive execution off and one shuffle partition per core of a 4-core
-    box.  The session fixture keeps adaptive execution on with 64 partitions,
-    where every kernel stage would otherwise run 64 pandas tasks; both confs
-    are restored afterwards."""
-    confs = {"spark.sql.adaptive.enabled": "false", "spark.sql.shuffle.partitions": "4"}
-    saved = {k: spark.conf.get(k) for k in confs}
-    for k, v in confs.items():
-        spark.conf.set(k, v)
-    try:
-        yield spark
-    finally:
-        for k, v in saved.items():
-            spark.conf.set(k, v)
-
-
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_jobs_session_matches_brute(jobs_session, variant):
     """Every variant in the jobs' session: exact ones equal brute force,
