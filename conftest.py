@@ -1,3 +1,11 @@
+"""The test session is the jobs' session, ``jobs.common.get_spark``.
+
+This file only sizes the driver: it sets ``SPARK_DRIVER_MEM`` before
+``jobs.common`` is imported, because that import composes
+``PYSPARK_SUBMIT_ARGS`` and ``spark.driver.memory`` is read at JVM launch,
+not from SparkConf. pytest loads this file before any test module, so no
+test imports pyspark first.
+"""
 import os
 import sys
 
@@ -6,10 +14,7 @@ def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    limit > 48g fallback.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
@@ -38,42 +43,18 @@ def _driver_mem() -> str:
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
-os.environ.setdefault(
-    "PYSPARK_SUBMIT_ARGS",
-    f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-    f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
-    f"--conf spark.driver.host=127.0.0.1 "
-    f"--conf spark.ui.enabled=false "
-    "pyspark-shell",
-)
 
 import pytest  # noqa: E402
-from pyspark.sql import SparkSession  # noqa: E402
+
+from jobs.common import get_spark  # noqa: E402
 
 
 @pytest.fixture(scope="session")
-def spark() -> SparkSession:
-    """One local-mode SparkSession for the whole test session.
-
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
-    """
-    s = (
-        SparkSession.builder.appName("repro")
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+def spark():
+    """One SparkSession for the whole test session, with the jobs' settings."""
+    s = get_spark("repro-tests")
+    # One line in the test log that tells whether the cgroup derivation
+    # saw the real memory limit.
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
@@ -83,21 +64,3 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
-
-
-@pytest.fixture
-def jobs_session(spark):
-    """The test session with the jobs' settings (``jobs.common.get_spark``):
-    adaptive execution off and one shuffle partition per core of a 4-core
-    box.  The session fixture keeps adaptive execution on with 64 partitions,
-    where every kernel stage would otherwise run 64 pandas tasks; both confs
-    are restored afterwards."""
-    confs = {"spark.sql.adaptive.enabled": "false", "spark.sql.shuffle.partitions": "4"}
-    saved = {k: spark.conf.get(k) for k in confs}
-    for k, v in confs.items():
-        spark.conf.set(k, v)
-    try:
-        yield spark
-    finally:
-        for k, v in saved.items():
-            spark.conf.set(k, v)

@@ -1,9 +1,10 @@
-"""Shared helpers for spark-submit job entrypoints.
+"""The one SparkSession configuration, and the datasets the jobs load.
 
-Each job builds its own SparkSession (they run standalone via spark-submit
-or plain python, not under the pytest fixture).  ``--master`` can be
-overridden through the SPARK_MASTER environment variable, which is how
-``experiments.py`` runs Fig. 9's thread rows under local[1], local[2], ...
+``get_spark`` builds the session of every job, of the experiment runner,
+of perfbench and of the tests (the ``spark`` fixture in the repository's
+``conftest.py``).  ``--master`` can be overridden through the SPARK_MASTER
+environment variable, which is how ``experiments.py`` runs Fig. 9's thread
+rows under local[1], local[2], ...
 
 Importing this module puts the repository's ``src`` on the driver's
 ``sys.path`` and on ``PYTHONPATH``, which the Python workers inherit when
@@ -22,8 +23,7 @@ if _SRC not in sys.path:
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # spark.driver.memory is read at JVM launch, not from SparkConf, so it must
-# be in PYSPARK_SUBMIT_ARGS before pyspark is imported (same trick as the
-# repo-root conftest.py).
+# be in PYSPARK_SUBMIT_ARGS before pyspark is imported.
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
@@ -38,10 +38,10 @@ from repro import synth_data as sd  # noqa: E402
 
 
 def get_spark(app: str) -> SparkSession:
-    """The jobs' session: one shuffle partition per core (SPARK_SHUFFLE_PARTITIONS
-    overrides), adaptive execution off (the shuffles are already sized, and
-    it would run each shuffle stage as its own job), Arrow on, and only
-    explicitly hinted (cell-scale) tables broadcast."""
+    """The session: one shuffle partition per core, adaptive execution off
+    (the shuffles are already sized, and it would run each shuffle stage as
+    its own job), Arrow on, and only explicitly hinted (cell-scale) tables
+    broadcast."""
     s = (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
@@ -52,10 +52,7 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )
-    s.conf.set(
-        "spark.sql.shuffle.partitions",
-        os.environ.get("SPARK_SHUFFLE_PARTITIONS", str(s.sparkContext.defaultParallelism)),
-    )
+    s.conf.set("spark.sql.shuffle.partitions", str(s.sparkContext.defaultParallelism))
     s.sparkContext.setLogLevel("ERROR")
     return s
 

@@ -5,10 +5,13 @@
 """
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, ".")  # allow running from the repo root without install
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
 
-from jobs.common import get_spark, load_dataset  # noqa: E402
+from jobs.common import get_spark, load_dataset  # noqa: E402  (puts src on the path)
 
 
 def main() -> None:

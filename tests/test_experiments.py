@@ -16,10 +16,10 @@ ROWS = [
 ]
 
 
-def test_measure_checks_rows_and_leaves_nothing_cached(jobs_session):
-    persistent = jobs_session.sparkContext._jsc.getPersistentRDDs
+def test_measure_checks_rows_and_leaves_nothing_cached(spark):
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
     before = persistent().size()
-    recs = measure(jobs_session, ROWS)
+    recs = measure(spark, ROWS)
     assert persistent().size() == before
     assert [r["check"] for r in recs] == ["ok"] * len(ROWS)
     assert len({tuple(r) for r in recs}) == 1  # every record has the same keys
