@@ -1,13 +1,13 @@
 """The test session is the jobs' session, ``jobs.common.get_spark``.
 
-This file only sizes the driver: it sets ``SPARK_DRIVER_MEM`` before
+This file only sizes the driver, and names the size at the end of the test
+log: it sets ``SPARK_DRIVER_MEM`` before
 ``jobs.common`` is imported, because that import composes
 ``PYSPARK_SUBMIT_ARGS`` and ``spark.driver.memory`` is read at JVM launch,
 not from SparkConf. pytest loads this file before any test module, so no
 test imports pyspark first.
 """
 import os
-import sys
 
 
 def _driver_mem() -> str:
@@ -49,18 +49,25 @@ import pytest  # noqa: E402
 from jobs.common import get_spark  # noqa: E402
 
 
-@pytest.fixture(scope="session")
-def spark():
-    """One SparkSession for the whole test session, with the jobs' settings."""
-    s = get_spark("repro-tests")
-    # One line in the test log that tells whether the cgroup derivation
-    # saw the real memory limit.
-    print(
+# The session's master and parallelism, for the line below.
+_SESSION = pytest.StashKey[str]()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    """One line in the test log, also under ``-q``, that tells whether the
+    cgroup derivation saw the real memory limit, and where the session ran."""
+    terminalreporter.write_line(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
-        f"master={s.sparkContext.master} "
-        f"defaultParallelism={s.sparkContext.defaultParallelism}",
-        file=sys.stderr,
+        + config.stash.get(_SESSION, "")
     )
+
+
+@pytest.fixture(scope="session")
+def spark(request):
+    """One SparkSession for the whole test session, with the jobs' settings."""
+    s = get_spark("repro-tests")
+    sc = s.sparkContext
+    request.config.stash[_SESSION] = f"master={sc.master} defaultParallelism={sc.defaultParallelism}"
     yield s
     s.stop()

@@ -37,7 +37,7 @@ def main() -> None:
         f"RESULT dataset={args.dataset} n={args.n} d={args.d} eps={args.eps} "
         f"minPts={args.minpts} variant={args.variant} "
         f"time={stats['t_total']:.2f}s clusters={stats['n_clusters']} "
-        f"cells={stats['n_cells']} "
+        f"cells={stats['n_cells']} edges={stats['n_evaluated']}/{stats['n_candidate_edges']} "
         f"phases=cells:{stats['t_cells']:.2f}/mark:{stats['t_markcore']:.2f}/"
         f"graph:{stats['t_clustercore']:.2f}/border:{stats['t_border']:.2f}"
     )

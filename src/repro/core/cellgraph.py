@@ -13,23 +13,24 @@ Connectivity between a pair is decided by one of the paper's methods:
 * ``delaunay`` — edges of the Delaunay triangulation over all core points,
               filtered to cross-cell edges of length ≤ eps (2D).
 
-Candidate edges are evaluated by Spark in parallel through the shared
+Every candidate edge is decided in one Spark round through the shared
 per-block kernel (``cellkernel.per_block``), blocks weighted by core-point
 count: an edge (g, h) is decided at the block of its responsible cell g,
-which reads the core points of g and h, and the kernel returns the
-connected edges.  The optimisations of §4.4 are
+which reads the core points of g and h.  The optimisations of §4.4 are
 reproduced:
 
-* connectivity-query reduction — a driver-side union-find skips pairs whose
-  cells are already in the same component;
 * each pair is checked once (responsible cell = the one with more core
   points, ties by the higher cell number), picked by one vectorised mask
   over the cell table's neighbour pairs;
-* *bucketing* — cells are sorted by core-point count (non-increasing) and
-  processed in batches; between batches the union-find prunes queries that
-  earlier batches made redundant.  Without bucketing the same loop runs one
-  batch of all candidate pairs, evaluated in a single parallel round (the
-  racy-parallel behaviour the paper describes).
+* connectivity-query reduction — each block walks its edges in order with
+  a union-find over the cells it reads and skips a pair its own connected
+  edges already join.  Local connectivity implies global connectivity, so
+  the connected edges the blocks return, which the driver unions, give the
+  components of the whole cell graph;
+* *bucketing* sets that order: edges by non-increasing core-point count of
+  the responsible cell, so the cells most likely to connect go first (as
+  Gan & Tao's union-find in core-count order).  Without bucketing the edges
+  go in cell order.
 """
 from __future__ import annotations
 
@@ -46,7 +47,8 @@ from repro.spatial.usec import usec_connected
 
 
 def _connect_block(
-    batch: pd.DataFrame,
+    g: np.ndarray,
+    h: np.ndarray,
     block: np.ndarray,
     cells: CellTable,
     d: int,
@@ -54,19 +56,27 @@ def _connect_block(
     method: str,
     rho: float,
 ):
-    """Per-block kernel: decide the batch's edges (eid, gcell, hcell) whose
-    responsible cell g is the block's own, by the chosen connectivity method
-    on g's and h's core points (and h's root box); returns the connected eids."""
+    """Per-block kernel: walk the candidate edges ``e`` (g[e], h[e]) whose
+    responsible cell g is the block's own, in the given order, skip an edge
+    whose cells the block's union-find already joins, and decide the others
+    by the chosen connectivity method on g's and h's core points (and h's
+    root box); returns one row (eid, connected) per edge it checked."""
     xc = xcols(d)
-    eid, g, h = (batch[c].to_numpy() for c in ("eid", "gcell", "hcell"))
     boxes = cells.pdf[[f"lo{j}" for j in range(d)] + ["side"]].to_numpy(dtype=np.float64)
 
     def fn(b: int, pdf: pd.DataFrame) -> pd.DataFrame:
         x = pdf[xc].to_numpy(dtype=np.float64)
         by_cell = pdf.groupby("cell", sort=False).indices
         mine = np.flatnonzero(block[g] == b)
+        # Local union-find over the block's own and halo cells.
+        local, ends = np.unique(np.concatenate([g[mine], h[mine]]), return_inverse=True)
+        uf = UnionFind(len(local))
+        checked = np.zeros(len(mine), dtype=bool)
         conn = np.zeros(len(mine), dtype=bool)
         for i, e in enumerate(mine):
+            a, c = ends[i], ends[len(mine) + i]
+            if uf.connected(a, c):
+                continue
             pa, pb = x[by_cell[g[e]]], x[by_cell[h[e]]]
             lo, side = boxes[h[e], :-1], float(boxes[h[e], -1])
             if method == "bcp":
@@ -79,33 +89,12 @@ def _connect_block(
                 conn[i] = connected_approx(pa, pb, eps, rho, lo, side)
             else:  # pragma: no cover - guarded by dbscan()
                 raise ValueError(method)
-        return pd.DataFrame({"eid": eid[mine[conn]]})
+            checked[i] = True
+            if conn[i]:
+                uf.union(a, c)
+        return pd.DataFrame({"eid": mine[checked], "connected": conn[checked]})
 
     return fn
-
-
-def _connected_edges(
-    spark,
-    batch: pd.DataFrame,
-    core_pts: DataFrame,
-    block: np.ndarray,
-    cells: CellTable,
-    d: int,
-    eps: float,
-    method: str,
-    rho: float,
-) -> list[int]:
-    """Decide a batch of candidate edges (eid, gcell, hcell) in parallel,
-    gcell the responsible cell, each at gcell's block, which reads g's and
-    h's core points; returns the connected eids."""
-    gb = block[batch["gcell"].to_numpy()]
-    need = pd.DataFrame({
-        "cell": np.concatenate([batch["gcell"].to_numpy(), batch["hcell"].to_numpy()]),
-        "block": np.concatenate([gb, gb]),
-    })
-    fn = _connect_block(batch, block, cells, d, eps, method, rho)
-    res = per_block(spark, core_pts.select("cell", *xcols(d)), need, block, fn, "eid long")
-    return [r["eid"] for r in res.collect()]
 
 
 def build_cell_graph(
@@ -118,7 +107,6 @@ def build_cell_graph(
     method: str = "bcp",
     rho: float = 0.01,
     bucketing: bool = False,
-    bucket_size: int = 4096,
 ) -> tuple[np.ndarray, dict[str, object]]:
     """Cluster core cells: returns (cluster, stats).
 
@@ -130,46 +118,40 @@ def build_cell_graph(
     core_pts : DataFrame (cell, x*) of core points only (a filter of a cached frame).
     core_cnt : each cell's number of core points, indexed by cell.
     cells    : the call's cell table (quadtree root box and neighbour pairs).
+    bucketing: order the edges by non-increasing core count of the
+               responsible cell instead of by cell number.
     """
     vertices = np.flatnonzero(core_cnt)
     uf = UnionFind(len(core_cnt))
 
     # Candidate edges: neighboring core-cell pairs, each once with the
-    # responsible cell (more core points, ties by the higher number) first,
-    # in non-increasing core-count order of the responsible cell.
+    # responsible cell (more core points, ties by the higher number) first.
     g, h = cells.pairs["cell"].to_numpy(), cells.pairs["ncell"].to_numpy()
     cg, ch = core_cnt[g], core_cnt[h]
     keep = (ch > 0) & ((cg > ch) | ((cg == ch) & (g > h)))
     g, h = g[keep], h[keep]
-    order = np.lexsort((g, -core_cnt[g]))
+    order = np.lexsort((g, -core_cnt[g])) if bucketing else np.lexsort((h, g))
     g, h = g[order], h[order]
-    stats: dict[str, object] = {"n_core_cells": len(vertices), "n_candidate_edges": len(g)}
+    # Delaunay decides every candidate edge at once.
+    stats: dict[str, object] = {
+        "n_core_cells": len(vertices), "n_candidate_edges": len(g), "n_evaluated": len(g),
+    }
 
     if method == "delaunay":
         for a, b in _delaunay_cell_edges(core_pts, d, eps):
             uf.union(a, b)
-        stats["n_evaluated"] = len(g)
-    else:
-        # Batches pruned by the union-find between rounds; without bucketing
-        # one batch holds every candidate edge, so nothing is pruned.
-        if not bucketing:
-            bucket_size = len(g)
+    elif len(g):
         block = blocks(spark, core_cnt)
-        n_evaluated = 0
-        pos = 0
-        while pos < len(g):
-            batch_ids = []
-            while pos < len(g) and len(batch_ids) < bucket_size:
-                if uf.find(g[pos]) != uf.find(h[pos]):
-                    batch_ids.append(pos)
-                pos += 1
-            if not batch_ids:
-                continue
-            batch = pd.DataFrame({"eid": batch_ids, "gcell": g[batch_ids], "hcell": h[batch_ids]})
-            for e in _connected_edges(spark, batch, core_pts, block, cells, d, eps, method, rho):
-                uf.union(g[e], h[e])
-            n_evaluated += len(batch_ids)
-        stats["n_evaluated"] = n_evaluated
+        gb = block[g]
+        need = pd.DataFrame({"cell": np.concatenate([g, h]), "block": np.concatenate([gb, gb])})
+        fn = _connect_block(g, h, block, cells, d, eps, method, rho)
+        rows = per_block(
+            spark, core_pts.select("cell", *xcols(d)), need, block, fn, "eid long, connected boolean"
+        ).collect()
+        for r in rows:
+            if r["connected"]:
+                uf.union(g[r["eid"]], h[r["eid"]])
+        stats["n_evaluated"] = len(rows)
 
     # Canonical component labels: the lowest cell number per component.
     roots, first, inverse = np.unique(

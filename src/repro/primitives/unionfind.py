@@ -2,11 +2,13 @@
 
 The paper uses a *lock-free concurrent* union-find (Shun–Blelloch style) to
 merge core cells while the cell graph is being built (Algorithm 3).  In this
-reproduction the union-find holds one entry per non-empty core cell — orders
-of magnitude fewer entries than points — so it lives on the Spark driver and
-is exercised between Spark jobs (see ``repro.core.cellgraph``).  Correctness
-is identical to the concurrent version; only the parallel insertion is
-serialised, which is faithful at cell scale.
+reproduction the union-find holds one entry per core cell — orders of
+magnitude fewer entries than points.  ClusterCore (``repro.core.cellgraph``)
+uses it twice: inside each block of its one Spark round, over the block's
+cells, to skip queries the block's own connected edges make redundant; and
+on the Spark driver, to join the connected edges every block returns into
+components.  Correctness is identical to the concurrent version; only the
+parallel insertion is serialised, which is faithful at cell scale.
 """
 from __future__ import annotations
 

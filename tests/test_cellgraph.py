@@ -9,6 +9,7 @@ from repro.core.cellgraph import build_cell_graph
 from repro.core.mark_core import mark_core
 from repro.oracle import assert_equivalent
 from repro.primitives.unionfind import UnionFind
+from tests.test_dbscan_exact import _jobs_in_group, _session_conf
 
 
 def _setup(spark, pts, eps, d, min_pts):
@@ -72,17 +73,49 @@ def test_bcp_matches_reference_higher_d(spark, d):
     assert _partition_from_labels(labels) == ref
 
 
-def test_bucketing_prunes_queries(spark):
-    """Bucketing must evaluate no more candidate edges than the flat mode and
-    produce the identical partition."""
+def _prune_case(spark):
+    """An input whose 7 candidate edges include one that a block's own
+    connected edges already join."""
     pts = sd.seed_spreader(500, 2, seed=12)
     eps, min_pts = 350.0, 5
     df, core_pts, core_cnt, cells = _setup(spark, pts, eps, 2, min_pts)
-    args = (spark, core_pts.select("cell", "x0", "x1"), core_cnt, cells, 2, eps)
+    core_pts.count()
+    return spark, core_pts.select("cell", "x0", "x1"), core_cnt, cells, 2, eps
+
+
+def test_bucketing_prunes_queries(spark):
+    """Bucketing must evaluate no more candidate edges than the flat mode and
+    produce the identical partition."""
+    args = _prune_case(spark)
     labels_flat, stats_flat = build_cell_graph(*args, bucketing=False)
-    labels_b, stats_b = build_cell_graph(*args, bucketing=True, bucket_size=64)
+    labels_b, stats_b = build_cell_graph(*args, bucketing=True)
     assert _partition_from_labels(labels_flat) == _partition_from_labels(labels_b)
     assert stats_b["n_evaluated"] <= stats_flat["n_evaluated"]
+
+
+def test_block_prunes_queries_without_bucketing(spark):
+    """With one block, the flat mode's union-find inside the block skips an
+    edge its earlier connected edges made redundant; the session's setting
+    is restored afterwards."""
+    args = _prune_case(spark)
+    with _session_conf(spark, {"spark.sql.shuffle.partitions": "1"}):
+        _, stats = build_cell_graph(*args, bucketing=False)
+    assert stats["n_evaluated"] < stats["n_candidate_edges"]
+
+
+@pytest.mark.parametrize("bucketing", [False, True])
+@pytest.mark.parametrize("method", ["bcp", "qt", "approx", "usec"])
+def test_one_round(spark, method, bucketing):
+    """Every candidate edge is decided in one ``per_block`` round: two Spark
+    jobs, one that broadcasts the round's ``need`` table and one that runs
+    the kernel."""
+    args = _prune_case(spark)
+    (_, stats), jobs = _jobs_in_group(
+        spark, f"test-one-round-{method}-{bucketing}",
+        lambda: build_cell_graph(*args, method=method, bucketing=bucketing),
+    )
+    assert stats["n_candidate_edges"] > 0
+    assert jobs == 2
 
 
 def test_no_core_cells(spark):
