@@ -27,7 +27,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import grid
-from repro.core.cellkernel import count_within
+from repro.core.cellkernel import count_within, pairs_within
 from repro.primitives.unionfind import UnionFind
 
 
@@ -77,7 +77,6 @@ def _cluster_kernel(d: int, eps: float):
         core_mask = pdf["is_core"].to_numpy()
         arr = pdf[xc].to_numpy(dtype=np.float64)
         ids = pdf["id"].to_numpy()
-        eps2 = eps * eps
         cidx = np.flatnonzero(core_mask)
         if len(cidx) == 0:
             return pd.DataFrame(
@@ -86,13 +85,9 @@ def _cluster_kernel(d: int, eps: float):
             )
         cpts = arr[cidx]
         uf = UnionFind(len(cidx))
-        block = max(1, (1 << 22) // max(len(cpts), 1))
-        for i in range(0, len(cpts), block):
-            d2 = ((cpts[i : i + block, None, :] - cpts[None, :, :]) ** 2).sum(axis=2)
-            ii, jj = np.nonzero(d2 <= eps2)
-            for a, b in zip(ii + i, jj):
-                if a != b:
-                    uf.union(int(a), int(b))
+        for a, b in zip(*pairs_within(cpts, cpts, eps)):
+            if a != b:
+                uf.union(int(a), int(b))
         # Slab-local labels are globally unique: slab * 2^40 + local root.
         lab = np.array([slab * (1 << 40) + uf.find(i) for i in range(len(cidx))])
         out_id = [ids[cidx]]
@@ -100,13 +95,10 @@ def _cluster_kernel(d: int, eps: float):
         out_core = [np.ones(len(cidx), dtype=bool)]
         # Owned non-core points: link to clusters of core points within eps.
         nc = np.flatnonzero(~core_mask & pdf["owned"].to_numpy())
-        if len(nc):
-            for i in range(0, len(nc), block):
-                d2 = ((arr[nc[i : i + block], None, :] - cpts[None, :, :]) ** 2).sum(axis=2)
-                ii, jj = np.nonzero(d2 <= eps2)
-                out_id.append(ids[nc[ii + i]])
-                out_lab.append(lab[jj])
-                out_core.append(np.zeros(len(ii), dtype=bool))
+        ii, jj = pairs_within(arr[nc], cpts, eps)
+        out_id.append(ids[nc[ii]])
+        out_lab.append(lab[jj])
+        out_core.append(np.zeros(len(ii), dtype=bool))
         return pd.DataFrame(
             {
                 "id": np.concatenate(out_id),

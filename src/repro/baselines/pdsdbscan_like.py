@@ -26,7 +26,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import grid
-from repro.core.cellkernel import blocks, count_within, per_block
+from repro.core.cellkernel import blocks, count_within, pairs_within, per_block
 from repro.primitives.unionfind import UnionFind
 
 
@@ -42,7 +42,7 @@ def _count_block(cells, d: int, eps: float, min_pts: int):
         home = pdf["home"].to_numpy()
         is_core = np.zeros(len(pdf), dtype=bool)
         for g in np.unique(pdf["cell"].to_numpy()[home]):
-            targets = np.concatenate([by_cell[t] for t in (g, *nbr[start[g] : start[g + 1]])])
+            targets = np.concatenate([by_cell[t] for t in nbr[start[g] : start[g + 1]]])
             is_core[by_cell[g]] = count_within(x[by_cell[g]], x[targets], eps) >= min_pts
         return pdf.loc[home, ["id", "cell", *xc]].assign(is_core=is_core[home])
 
@@ -60,7 +60,6 @@ def _merge_block(cells, d: int, eps: float):
     )
 
     def fn(_b: int, pdf: pd.DataFrame) -> pd.DataFrame:
-        eps2 = eps * eps
         x = pdf[xc].to_numpy(dtype=np.float64)
         ids = pdf["id"].to_numpy()
         core = pdf["is_core"].to_numpy()
@@ -79,22 +78,19 @@ def _merge_block(cells, d: int, eps: float):
         border_a, border_b = [], []
         for g in np.unique(pdf["cell"].to_numpy()[pdf["home"].to_numpy()]):
             qi = by_cell[g]
-            pi = np.concatenate([by_cell[t] for t in (g, *nbr[start[g] : start[g + 1]])])
-            blk = max(1, (1 << 21) // len(pi))
-            for i in range(0, len(qi), blk):
-                d2 = ((x[qi[i : i + blk], None, :] - x[None, pi, :]) ** 2).sum(axis=2)
-                ii, jj = np.nonzero(d2 <= eps2)
-                for a_, b_ in zip(qi[ii + i], pi[jj]):
-                    if a_ == b_ or not core[b_]:
-                        continue
-                    qa, pb = int(ids[a_]), int(ids[b_])
-                    if core[a_]:
-                        ra, rb = find(qa), find(pb)
-                        if ra != rb:
-                            parent[rb] = ra
-                    else:
-                        border_a.append(qa)
-                        border_b.append(pb)
+            pi = np.concatenate([by_cell[t] for t in nbr[start[g] : start[g + 1]]])
+            ii, jj = pairs_within(x[qi], x[pi], eps)
+            for a_, b_ in zip(qi[ii], pi[jj]):
+                if a_ == b_ or not core[b_]:
+                    continue
+                qa, pb = int(ids[a_]), int(ids[b_])
+                if core[a_]:
+                    ra, rb = find(qa), find(pb)
+                    if ra != rb:
+                        parent[rb] = ra
+                else:
+                    border_a.append(qa)
+                    border_b.append(pb)
         edges_a = [v for v in parent if parent[v] != v]
         out = pd.DataFrame(
             {

@@ -4,57 +4,27 @@ The paper compares against Gan&Tao's serial implementation (the fastest
 existing serial exact/approx DBSCAN) and reports that its own algorithms run
 serially ~5x faster.  That binary is closed/unavailable offline, so this
 module implements the same algorithm the binary implements — Gan&Tao's
-grid-based exact DBSCAN [40]: eps/√d grid, dense-cell shortcut, per-point
-range counts against neighboring cells, cell graph via early-exit BCP with
-union-find pruning (cells in non-increasing size order), and border
-assignment — in single-threaded numpy.  It is the "best serial baseline"
-for the Figure 8 speedup experiment and an independent correctness check.
+grid-based exact DBSCAN [40]: eps/√d grid, dense-cell shortcut, range counts
+of a sparse cell's points against its whole neighbourhood, cell graph via
+early-exit BCP with union-find pruning (cells in non-increasing size order),
+and border assignment — in single-threaded numpy.  It is the "best serial
+baseline" for the Figure 8 speedup experiment and the experiments'
+correctness check.
+
+Cells and neighbours come from ``grid`` (cells numbered in coordinate order,
+``grid.neighbor_pairs``, ``CellTable.neighbours``); MarkCore and border make
+one distance block per cell over its whole neighbourhood (``count_within``,
+``pairs_within``).  ``reference.dbscan_brute`` stays the independent reference.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
+import pandas as pd
 
-from repro.core.grid import neighbor_offsets
+from repro.core.cellkernel import CellTable, count_within, pairs_within
+from repro.core.grid import ccols, cell_side, neighbor_pairs
 from repro.primitives.unionfind import UnionFind
 from repro.spatial.bcp import bcp_connected
-from repro.spatial.kdtree import KDTree
-
-
-def _build_cells(pts: np.ndarray, eps: float) -> dict[tuple, np.ndarray]:
-    d = pts.shape[1]
-    side = eps / math.sqrt(d)
-    cc = np.floor(pts / side).astype(np.int64)
-    order = np.lexsort(cc.T[::-1])
-    cc_sorted = cc[order]
-    bounds = np.flatnonzero(np.any(np.diff(cc_sorted, axis=0) != 0, axis=1)) + 1
-    starts = np.concatenate([[0], bounds, [len(pts)]])
-    cells = {}
-    for i in range(len(starts) - 1):
-        s, e = starts[i], starts[i + 1]
-        cells[tuple(cc_sorted[s])] = order[s:e]
-    return cells
-
-
-def _neighbors_map(cells: dict[tuple, np.ndarray], d: int) -> dict[tuple, list[tuple]]:
-    keys = list(cells)
-    if d <= 3:
-        offs = neighbor_offsets(d)
-        exist = set(keys)
-        return {
-            k: [tuple(np.add(k, o)) for o in offs if tuple(np.add(k, o)) in exist]
-            for k in keys
-        }
-    coords = np.array(keys, dtype=np.float64)
-    tree = KDTree(coords)
-    out = {}
-    for i, k in enumerate(keys):
-        cand = tree.query_radius(coords[i], 2.0 * math.sqrt(d) + 1e-9)
-        dc = np.abs(coords[cand] - coords[i])
-        gap2 = (np.maximum(dc - 1.0, 0.0) ** 2).sum(axis=1)
-        out[k] = [keys[j] for j in cand[gap2 <= d + 1e-9] if j != i]
-    return out
 
 
 def dbscan_seq(
@@ -63,66 +33,58 @@ def dbscan_seq(
     """Sequential grid DBSCAN; same canonical output as reference.dbscan_brute."""
     pts = np.asarray(pts, dtype=np.float64)
     n, d = pts.shape
-    eps2 = eps * eps
-    cells = _build_cells(pts, eps)
-    nbrs = _neighbors_map(cells, d)
+    cc = np.floor(pts / cell_side(eps, d)).astype(np.int64)
+    coords, cell = np.unique(cc, axis=0, return_inverse=True)
+    table = pd.DataFrame(coords, columns=ccols(d)).assign(cell=np.arange(len(coords)))
+    start, nbr = CellTable(table, neighbor_pairs(table, d)).neighbours()
+    order = np.argsort(cell.ravel(), kind="stable")
+    bounds = np.searchsorted(cell.ravel()[order], np.arange(len(coords) + 1))
+    members = [order[bounds[c] : bounds[c + 1]] for c in range(len(coords))]
+
+    def gather(c: int) -> np.ndarray:
+        """The points of cell ``c``'s closed neighbourhood."""
+        return np.concatenate([members[h] for h in nbr[start[c] : start[c + 1]]])
 
     # ---- mark core ------------------------------------------------------
     core = np.zeros(n, dtype=bool)
-    for k, idx in cells.items():
+    for c, idx in enumerate(members):
         if len(idx) >= min_pts:
             core[idx] = True
-            continue
-        cnt = np.full(len(idx), len(idx), dtype=np.int64)
-        q = pts[idx]
-        for h in nbrs[k]:
-            p = pts[cells[h]]
-            d2 = ((q[:, None, :] - p[None, :, :]) ** 2).sum(axis=2)
-            cnt += (d2 <= eps2).sum(axis=1)
-        core[idx] = cnt >= min_pts
+        else:
+            core[idx] = count_within(pts[idx], pts[gather(c)], eps) >= min_pts
 
     # ---- cluster core: cell graph with UF pruning -----------------------
-    core_cells = {k: idx[core[idx]] for k, idx in cells.items()}
-    core_cells = {k: v for k, v in core_cells.items() if len(v)}
-    keys = sorted(core_cells, key=lambda k: (-len(core_cells[k]), k))
-    pos = {k: i for i, k in enumerate(keys)}
+    core_members = [idx[core[idx]] for idx in members]
+    keys = sorted((c for c in range(len(members)) if len(core_members[c])),
+                  key=lambda c: (-len(core_members[c]), c))
+    pos = {c: i for i, c in enumerate(keys)}
     uf = UnionFind(len(keys))
     for k in keys:  # non-increasing core-count order (Gan&Tao heuristic)
-        for h in nbrs[k]:
-            if h not in pos:
+        for h in nbr[start[k] : start[k + 1]]:
+            # each pair once, from its earlier cell; the find also skips h == k
+            if h not in pos or pos[h] < pos[k] or uf.find(pos[k]) == uf.find(pos[h]):
                 continue
-            if pos[h] < pos[k]:  # responsibility: later cell checks earlier
-                continue
-            if uf.find(pos[k]) == uf.find(pos[h]):
-                continue
-            if bcp_connected(pts[core_cells[k]], pts[core_cells[h]], eps):
+            if bcp_connected(pts[core_members[k]], pts[core_members[h]], eps):
                 uf.union(pos[k], pos[h])
 
     comp_min: dict[int, int] = {}
     for k in keys:
         r = uf.find(pos[k])
-        m = int(core_cells[k].min())
-        if r not in comp_min or m < comp_min[r]:
-            comp_min[r] = m
-    labels: list[set[int]] = [set() for _ in range(n)]
+        comp_min[r] = min(comp_min.get(r, n), int(core_members[k].min()))
+    cluster = np.full(n, -1, dtype=np.int64)  # each core point's label
     for k in keys:
-        lab = comp_min[uf.find(pos[k])]
-        for i in core_cells[k]:
-            labels[int(i)].add(lab)
+        cluster[core_members[k]] = comp_min[uf.find(pos[k])]
 
     # ---- cluster border -------------------------------------------------
-    for k, idx in cells.items():
+    hits = [np.empty((2, 0), dtype=np.int64)]  # (non-core point, cluster) pairs
+    for c, idx in enumerate(members):
         nc = idx[~core[idx]]
-        if len(nc) == 0:
-            continue
-        for h in [k] + nbrs[k]:
-            if h not in core_cells:
-                continue
-            cp = core_cells[h]
-            lab = comp_min[uf.find(pos[h])]
-            d2 = ((pts[nc][:, None, :] - pts[cp][None, :, :]) ** 2).sum(axis=2)
-            hit = (d2 <= eps2).any(axis=1)
-            for i in nc[hit]:
-                labels[int(i)].add(lab)
-
+        if len(nc) and keys:
+            p = gather(c)
+            p = p[core[p]]
+            i, j = pairs_within(pts[nc], pts[p], eps)
+            hits.append(np.stack([nc[i], cluster[p[j]]]))
+    labels = [{v} if v >= 0 else set() for v in cluster.tolist()]
+    for a, v in np.unique(np.concatenate(hits, axis=1), axis=1).T.tolist():
+        labels[a].add(v)
     return core, [frozenset(s) for s in labels]

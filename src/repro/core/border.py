@@ -10,11 +10,14 @@ per-point set of labels.
 Non-core points are labelled by the shared per-block kernel
 (``cellkernel.per_block``), blocks weighted by non-core count
 (``cnt - core_cnt``): each block reads its own cells that hold a non-core
-point plus their neighbours that hold core points, and returns its own
-non-core points, each with the sorted, deduplicated labels of the cells
-with a core point within eps (empty for noise).  The result is the core
-rows followed by those rows; with no non-core point it is the core rows
-alone, and with no core point every point is noise and no kernel runs.
+point plus their neighbours that hold core points.  For each own cell it
+makes one ``pairs_within`` block of the cell's non-core points against the
+core points of its closed neighbourhood, and one ``np.unique`` over the
+block's (point, cluster) pairs gives each own non-core point the sorted,
+deduplicated labels of the core points within eps (empty for noise).  The
+result is the core rows followed by those rows; with no non-core point it is
+the core rows alone, and with no core point every point is noise and no
+kernel runs.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.cellkernel import CellTable, blocks, count_within, driver_table, per_block
+from repro.core.cellkernel import CellTable, blocks, driver_table, pairs_within, per_block
 from repro.core.grid import xcols
 
 
@@ -35,21 +38,28 @@ def _border_block(cells: CellTable, core_cnt: np.ndarray, cluster: np.ndarray, d
     def fn(_b: int, pdf: pd.DataFrame) -> pd.DataFrame:
         x = pdf[xc].to_numpy(dtype=np.float64)
         core = pdf["is_core"].to_numpy()
+        cell = pdf["cell"].to_numpy()
         by_cell = pdf.groupby("cell", sort=False).indices
         mine = np.flatnonzero(pdf["home"].to_numpy() & ~core)
-        labels: dict[int, set[int]] = {}  # row -> labels of its border cells
-        for g in np.unique(pdf["cell"].to_numpy()[mine]):
+        rows, labels = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for g in np.unique(cell[mine]):
+            hood = nbr[start[g] : start[g + 1]]
+            hood = hood[core_cnt[hood] > 0]
+            if not len(hood):
+                continue
             q = by_cell[g][~core[by_cell[g]]]
-            for t in (g, *nbr[start[g] : start[g + 1]]):
-                if core_cnt[t] == 0:
-                    continue
-                p = by_cell[t]
-                for i in q[count_within(x[q], x[p[core[p]]], eps) > 0]:
-                    labels.setdefault(i, set()).add(int(cluster[t]))
+            p = np.concatenate([by_cell[t] for t in hood])
+            p = p[core[p]]
+            i, j = pairs_within(x[q], x[p], eps)
+            rows.append(q[i])
+            labels.append(cluster[cell[p[j]]])
+        # (row, label) pairs sorted by row, then label, each once
+        row, label = np.unique(np.stack([np.concatenate(rows), np.concatenate(labels)]), axis=1)
+        lo, hi = np.searchsorted(row, mine), np.searchsorted(row, mine, side="right")
         return pd.DataFrame({
             "id": pdf["id"].to_numpy()[mine],
             "is_core": False,
-            "clusters": [sorted(labels.get(i, ())) for i in mine],
+            "clusters": [label[a:b].tolist() for a, b in zip(lo, hi)],
         })
 
     return fn

@@ -18,7 +18,10 @@ and runs the phase's ``fn`` once per block in one ``applyInPandas``; ``fn``
 returns the phase's output rows directly, so no phase aggregates by key or
 joins its answer back to the points.  Per-cell facts (counts, core counts,
 cluster labels, root boxes, neighbour lists) reach ``fn`` as numpy arrays
-indexed by cell in its closure.
+indexed by cell in its closure.  A cell reads its whole *closed*
+neighbourhood (itself and its neighbours, ``CellTable.neighbours``) at once:
+one distance block over its points concatenated, ``count_within`` for a
+RangeCount and ``pairs_within`` for the pairs, both one blocked scan.
 
 ``CellTable`` is the contract shared by grid (§4.1) and box (§4.2) cells:
 the driver table of non-empty cells — the stand-in for the paper's parallel
@@ -57,9 +60,10 @@ class CellTable(NamedTuple):
     pairs: pd.DataFrame
 
     def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbour lists in CSR form ``(start, nbr)``: the neighbours of
-        cell ``c`` are ``nbr[start[c]:start[c + 1]]``, in ascending order."""
-        g, h = self.pairs["cell"].to_numpy(), self.pairs["ncell"].to_numpy()
+        """Closed neighbourhoods in CSR form ``(start, nbr)``: cell ``c`` and
+        its neighbours are ``nbr[start[c]:start[c + 1]]``, in ascending order."""
+        own = np.arange(len(self.pdf))
+        g, h = (np.concatenate([own, self.pairs[c].to_numpy()]) for c in ("cell", "ncell"))
         order = np.lexsort((h, g))
         start = np.searchsorted(g[order], np.arange(len(self.pdf) + 1))
         return start, h[order]
@@ -70,16 +74,33 @@ def driver_table(spark: SparkSession, pdf: pd.DataFrame, schema: str) -> DataFra
     return F.broadcast(spark.createDataFrame(pdf, schema))
 
 
-def count_within(q: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
-    """For each row of ``q``, the number of rows of ``p`` within ``eps``
-    (inclusive), by a blocked vectorised scan."""
+def _within(q: np.ndarray, p: np.ndarray, eps: float):
+    """Blocked vectorised scan: ``(i, hit)`` per ~4M (query, point) pairs,
+    ``hit[a, b]`` iff ``q[i + a]`` is within ``eps`` of ``p[b]`` (inclusive)."""
     eps2 = eps * eps
-    cnt = np.zeros(len(q), dtype=np.int64)
     block = max(1, (1 << 22) // max(len(p), 1))
     for i in range(0, len(q), block):
         d2 = ((q[i : i + block, None, :] - p[None, :, :]) ** 2).sum(axis=2)
-        cnt[i : i + block] = (d2 <= eps2).sum(axis=1)
+        yield i, d2 <= eps2
+
+
+def count_within(q: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
+    """For each row of ``q``, the number of rows of ``p`` within ``eps``."""
+    cnt = np.zeros(len(q), dtype=np.int64)
+    for i, hit in _within(q, p, eps):
+        cnt[i : i + len(hit)] = hit.sum(axis=1)
     return cnt
+
+
+def pairs_within(q: np.ndarray, p: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair ``(i, j)`` of a row of ``q`` and a row of ``p`` within
+    ``eps``, as two int64 arrays in row-major order."""
+    ii, jj = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for i, hit in _within(q, p, eps):
+        a, b = np.nonzero(hit)
+        ii.append(a + i)
+        jj.append(b)
+    return np.concatenate(ii), np.concatenate(jj)
 
 
 def blocks(spark: SparkSession, weight: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Parallel MarkCore (Algorithm 2) on Spark DataFrames.
 
 Dense cells (≥ minPts points) mark all their points core directly — any two
-points in a cell are within eps.  Points of sparse cells count neighbors:
-their own cell's full count plus a RangeCount against each neighboring cell.
+points in a cell are within eps.  Points of sparse cells count neighbors by
+distance: one RangeCount over their cell and its neighboring cells at once.
 
 The result is the call's one per-point frame ``(id, cell, x*, is_core)``;
 ClusterCore and ClusterBorder read their points from it as filters.  Both
@@ -13,9 +13,10 @@ shared per-block kernel (``cellkernel.per_block``), blocks weighted by
 point count: each block reads its own cells plus, for each sparse cell, its
 neighbour cells, and returns its own points with their flags.  The frame is
 cached, and the per-cell core counts, an array indexed by cell, are the
-aggregation whose job fills that cache.  A sparse cell's RangeCount is a
-vectorised scan (our-exact) or a quadtree rooted at the neighbour cell's
-box (our-exact-qt, §5.2), built once per neighbour cell in a block.
+aggregation whose job fills that cache.  A sparse cell's RangeCount is one
+vectorised scan of the neighbourhood's points concatenated (our-exact), or
+the sum of the counts of quadtrees rooted at each neighbourhood cell's box
+(our-exact-qt, §5.2), built once per cell in a block.
 """
 from __future__ import annotations
 
@@ -41,9 +42,9 @@ def _mark_block(cells: CellTable, d: int, eps: float, min_pts: int, use_quadtree
         by_cell = pdf.groupby("cell", sort=False).indices
         trees: dict[int, QuadTree] = {}
 
-        def range_count(q: np.ndarray, h: int) -> np.ndarray:
+        def tree_count(q: np.ndarray, h: int) -> np.ndarray:
             p = by_cell[h]
-            if not use_quadtree or len(p) <= 32:
+            if len(p) <= 32:
                 return count_within(q, x[p], eps)
             if h not in trees:
                 trees[h] = QuadTree(x[p], boxes[h, :-1], float(boxes[h, -1]))
@@ -54,10 +55,11 @@ def _mark_block(cells: CellTable, d: int, eps: float, min_pts: int, use_quadtree
         for g in np.unique(pdf["cell"].to_numpy()[home]):
             if cnt[g] >= min_pts:
                 continue
-            own = by_cell[g]
-            total = np.full(len(own), cnt[g], dtype=np.int64)
-            for h in nbr[start[g] : start[g + 1]]:
-                total += range_count(x[own], h)
+            own, hood = by_cell[g], nbr[start[g] : start[g + 1]]
+            if use_quadtree:
+                total = sum(tree_count(x[own], h) for h in hood)
+            else:
+                total = count_within(x[own], x[np.concatenate([by_cell[h] for h in hood])], eps)
             is_core[own] = total >= min_pts
         return pdf.loc[home, ["id", "cell", *xc]].assign(is_core=is_core[home])
 

@@ -16,6 +16,7 @@ from repro.baselines.rpdbscan_like import rpdbscan
 from repro.baselines.seq_gridbscan import dbscan_seq
 from repro.core.reference import dbscan_brute
 from repro.core.validate import assert_same_clustering
+from tests.test_dbscan_exact import EPS_BOUNDARY, EPS_BOUNDARY_PTS
 
 
 # ------------------------------------------------------------- serial numpy
@@ -49,6 +50,14 @@ def test_seq_gridbscan_minpts(min_pts):
     pts = sd.seed_spreader(300, 2, seed=9)
     core_ref, labels_ref = dbscan_brute(pts, 250.0, min_pts)
     core, labels = dbscan_seq(pts, 250.0, min_pts)
+    assert np.array_equal(core, core_ref) and labels == labels_ref
+
+
+def test_seq_gridbscan_eps_boundary():
+    """Two points of one cell just beyond eps do not count each other."""
+    core_ref, labels_ref = dbscan_brute(EPS_BOUNDARY_PTS, EPS_BOUNDARY, 3)
+    core, labels = dbscan_seq(EPS_BOUNDARY_PTS, EPS_BOUNDARY, 3)
+    assert core_ref.tolist() == [False, False, True]
     assert np.array_equal(core, core_ref) and labels == labels_ref
 
 

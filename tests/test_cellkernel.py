@@ -1,13 +1,18 @@
 """Contract of the per-block kernel (repro.core.cellkernel): ``blocks`` cuts
 the cells into weight-balanced runs, ``per_block`` ships each block exactly
-the rows its ``need`` table lists."""
+the rows its ``need`` table lists, ``pairs_within`` finds every pair within
+eps; and the MarkCore and ClusterBorder block functions, called without
+Spark on one block that holds every cell, make one distance block per cell."""
 from contextlib import contextmanager
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.cellkernel import blocks, per_block
+from repro import synth_data as sd
+from repro.core import border, grid, mark_core
+from repro.core.cellkernel import CellTable, blocks, pairs_within, per_block
+from repro.core.reference import dbscan_brute
 
 
 @contextmanager
@@ -68,3 +73,69 @@ def test_per_block_ships_what_need_lists(spark):
         for i in (2 * c, 2 * c + 1)
     )
     assert got == want
+
+
+def test_pairs_within_matches_brute_force():
+    rng = np.random.default_rng(0)
+    q, p = rng.random((1500, 2)), rng.random((4200, 2))
+    assert len(q) > (1 << 22) // len(p)  # q spans more than one block
+    i, j = pairs_within(q, p, 0.05)
+    want = np.nonzero(((q[:, None, :] - p[None, :, :]) ** 2).sum(axis=2) <= 0.05**2)
+    assert np.array_equal(i, want[0]) and np.array_equal(j, want[1])
+    for a, b in ((q[:0], p), (q, p[:0])):
+        i, j = pairs_within(a, b, 0.05)
+        assert len(i) == len(j) == 0 and i.dtype == j.dtype == np.int64
+
+
+def _one_block(pts, eps):
+    """The grid cells of ``pts`` and the rows of one block holding them all:
+    (cells, pdf with id, cell, x*, home=True)."""
+    d = pts.shape[1]
+    side = grid.cell_side(eps, d)
+    coords, cell = np.unique(np.floor(pts / side).astype(np.int64), axis=0, return_inverse=True)
+    cell = cell.ravel()
+    table = pd.DataFrame(coords, columns=grid.ccols(d))
+    table.insert(0, "cell", np.arange(len(coords)))
+    table["cnt"] = np.bincount(cell, minlength=len(coords))
+    for j in range(d):
+        table[f"lo{j}"] = coords[:, j] * side
+    table["side"] = side
+    pdf = pd.DataFrame(pts, columns=grid.xcols(d)).assign(id=np.arange(len(pts)), cell=cell)
+    return CellTable(table, grid.neighbor_pairs(table, d)), pdf.assign(home=True)
+
+
+@pytest.mark.parametrize("use_quadtree", [False, True])
+def test_mark_block_one_count_per_sparse_cell(monkeypatch, use_quadtree):
+    pts = np.random.default_rng(4).random((400, 2)) * 20.0
+    eps, min_pts = 1.5, 10
+    cells, pdf = _one_block(pts, eps)
+    calls = []
+    count = mark_core.count_within
+    monkeypatch.setattr(mark_core, "count_within", lambda *a: calls.append(1) or count(*a))
+    out = mark_core._mark_block(cells, 2, eps, min_pts, use_quadtree)(0, pdf)
+    assert out["is_core"].to_numpy().tolist() == dbscan_brute(pts, eps, min_pts)[0].tolist()
+    sparse = np.flatnonzero(cells.pdf["cnt"].to_numpy() < min_pts)
+    assert np.isin(cells.pairs["cell"], sparse).sum() > 4 * len(sparse) > 0  # many neighbours
+    if not use_quadtree:
+        assert len(calls) == len(sparse)
+
+
+def test_border_block_labels_sorted_and_noise_empty():
+    """A border point within eps of two clusters gets both labels, sorted,
+    although its lower-numbered neighbour cells hold the larger label; noise
+    gets none."""
+    left = np.stack([np.linspace(-4.0, 0.0, 40), np.zeros(40)], axis=1)
+    right = np.stack([np.linspace(10.0, 14.0, 40), np.zeros(40)], axis=1)
+    # labels are min core ids: right 0, left 40; bridge 80 and noise 81
+    pts = np.vstack([right, left, [[5.0, 0.0], [100.0, 100.0]]])
+    eps, min_pts = 5.0, 40
+    core, labels = dbscan_brute(pts, eps, min_pts)
+    cells, pdf = _one_block(pts, eps)
+    cell = pdf["cell"].to_numpy()
+    core_cnt = np.bincount(cell[core], minlength=len(cells.pdf))
+    cluster = np.full(len(cells.pdf), -1, dtype=np.int64)
+    cluster[cell[core]] = [min(labels[i]) for i in np.flatnonzero(core)]
+    out = border._border_block(cells, core_cnt, cluster, 2, eps)(0, pdf.assign(is_core=core))
+    got = dict(zip(out["id"], out["clusters"]))
+    assert set(got) == {80, 81}
+    assert got[80] == [0, 40] and got[81] == []

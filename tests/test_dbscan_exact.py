@@ -297,6 +297,23 @@ def test_border_in_own_and_other_cell(spark, variant):
     assert pdf["clusters"].map(len).tolist() == [1] * 6 + [0]
 
 
+# eps-boundary inside one cell: the first two points share grid cell (-1, -1)
+# (side eps/√2), yet their squared distance, as computed, exceeds eps² by
+# 1.16e-10, so they are not neighbours; the third point, in cell (-1, 0), is
+# within eps of both and is the only core point at minPts = 3.
+EPS_BOUNDARY = 873.5278898504773
+_SIDE = EPS_BOUNDARY / np.sqrt(2)
+EPS_BOUNDARY_PTS = np.array([[-_SIDE, -_SIDE], [-1e-300, -1e-300], [-_SIDE / 2, 1e-9]])
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_eps_boundary_in_one_cell(spark, variant):
+    """A sparse cell counts its own points by distance, not by cell."""
+    pts = EPS_BOUNDARY_PTS
+    assert ((pts[0] - pts[1]) ** 2).sum() > EPS_BOUNDARY**2
+    _run_variant_and_check(spark, pts, EPS_BOUNDARY, 3, variant)
+
+
 # Spark jobs per call with adaptive execution off on the inputs below, as
 # measured when the ceiling was set (the count is the same at 1, 4, 7 and 64
 # shuffle partitions).  A change that adds jobs to a call fails here.

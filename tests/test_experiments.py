@@ -3,7 +3,8 @@ import numpy as np
 import pandas as pd
 
 from jobs.common import DATASETS
-from jobs.experiments import BASELINES, FIGURES, MATRIX, Row, check, measure
+import jobs.experiments as experiments
+from jobs.experiments import BASELINES, FIGURES, MATRIX, WARM_CALLS, Row, check, measure
 from repro import synth_data as sd
 from repro.baselines.seq_gridbscan import dbscan_seq
 from repro.core.dbscan import VARIANTS
@@ -16,14 +17,25 @@ ROWS = [
 ]
 
 
-def test_measure_checks_rows_and_leaves_nothing_cached(spark):
+def test_measure_checks_rows_and_leaves_nothing_cached(spark, monkeypatch):
+    """Rows of ours make a cold and WARM_CALLS warm calls, baselines a cold
+    and one warm call; ``warm_s`` is the median warm call, ``warm_min_s`` the
+    fastest."""
     persistent = spark.sparkContext._jsc.getPersistentRDDs
     before = persistent().size()
+    calls, call = [], experiments._call
+    monkeypatch.setattr(
+        experiments, "_call", lambda s, df, row: calls.append(row.impl) or call(s, df, row)
+    )
     recs = measure(spark, ROWS)
     assert persistent().size() == before
     assert [r["check"] for r in recs] == ["ok"] * len(ROWS)
+    per_row = (1 + WARM_CALLS, 1 + WARM_CALLS, 2)  # our-exact, our-approx, pdsdbscan-like
+    assert calls == [r.impl for r, k in zip(ROWS, per_row) for _ in range(k)]
     assert len({tuple(r) for r in recs}) == 1  # every record has the same keys
-    assert all(r["core_points"] == 40 and r["cold_s"] > 0 and r["warm_s"] > 0 for r in recs)
+    assert all(r["core_points"] == 40 and r["cold_s"] > 0 for r in recs)
+    assert all(0 < r["warm_min_s"] <= r["warm_s"] for r in recs)
+    assert recs[2]["warm_min_s"] == recs[2]["warm_s"]
     assert recs[0]["stats"]["n_clusters"] == 4 and recs[2]["stats"] is None
 
 
