@@ -14,9 +14,10 @@ point count: each block reads its own cells plus, for each sparse cell, its
 neighbour cells, and returns its own points with their flags.  The frame is
 cached, and the per-cell core counts, an array indexed by cell, are the
 aggregation whose job fills that cache.  A sparse cell's RangeCount is one
-vectorised scan of the neighbourhood's points concatenated (our-exact), or
-the sum of the counts of quadtrees rooted at each neighbourhood cell's box
-(our-exact-qt, §5.2), built once per cell in a block.
+vectorised scan of the neighbourhood's points concatenated (our-exact).
+our-exact-qt (§5.2) takes each neighboring cell of more than 32 points out
+of the scan and counts it with a quadtree rooted at that cell's box, built
+once per cell in a block; its own cell is always scanned, by distance.
 """
 from __future__ import annotations
 
@@ -43,11 +44,8 @@ def _mark_block(cells: CellTable, d: int, eps: float, min_pts: int, use_quadtree
         trees: dict[int, QuadTree] = {}
 
         def tree_count(q: np.ndarray, h: int) -> np.ndarray:
-            p = by_cell[h]
-            if len(p) <= 32:
-                return count_within(q, x[p], eps)
             if h not in trees:
-                trees[h] = QuadTree(x[p], boxes[h, :-1], float(boxes[h, -1]))
+                trees[h] = QuadTree(x[by_cell[h]], boxes[h, :-1], float(boxes[h, -1]))
             return np.fromiter((trees[h].range_count(r, eps) for r in q), np.int64, len(q))
 
         home = pdf["home"].to_numpy()
@@ -56,10 +54,10 @@ def _mark_block(cells: CellTable, d: int, eps: float, min_pts: int, use_quadtree
             if cnt[g] >= min_pts:
                 continue
             own, hood = by_cell[g], nbr[start[g] : start[g + 1]]
-            if use_quadtree:
-                total = sum(tree_count(x[own], h) for h in hood)
-            else:
-                total = count_within(x[own], x[np.concatenate([by_cell[h] for h in hood])], eps)
+            treed = use_quadtree & (hood != g) & (cnt[hood] > 32)
+            total = count_within(x[own], x[np.concatenate([by_cell[h] for h in hood[~treed]])], eps)
+            for h in hood[treed]:
+                total += tree_count(x[own], h)
             is_core[own] = total >= min_pts
         return pdf.loc[home, ["id", "cell", *xc]].assign(is_core=is_core[home])
 

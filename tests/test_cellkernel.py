@@ -116,8 +116,7 @@ def test_mark_block_one_count_per_sparse_cell(monkeypatch, use_quadtree):
     assert out["is_core"].to_numpy().tolist() == dbscan_brute(pts, eps, min_pts)[0].tolist()
     sparse = np.flatnonzero(cells.pdf["cnt"].to_numpy() < min_pts)
     assert np.isin(cells.pairs["cell"], sparse).sum() > 4 * len(sparse) > 0  # many neighbours
-    if not use_quadtree:
-        assert len(calls) == len(sparse)
+    assert len(calls) == len(sparse)
 
 
 def test_border_block_labels_sorted_and_noise_empty():
