@@ -10,13 +10,12 @@ input is generated once and cached. A row of ours makes a cold call and then
 ``WARM_CALLS`` warm calls: ``warm_s`` is their median, ``warm_min_s`` their
 minimum and ``stats`` the median call's, since single calls on a shared
 4-core box spread about 2x. A baseline row makes one warm call
-(``warm_s == warm_min_s``), so the full matrix stays near its 78 minutes: in
-``BENCH_93e6cf6.json`` the baselines' calls took 52 of them, and the warm
-calls of all 76 rows of ours 7.2, so two more of ours add about a quarter
-hour where two more per baseline row would add 52 minutes. Each call is
-timed as the wall time of the call plus ``count()`` of its result, and each
-result is unpersisted after it is checked. The check compares every call
-with ``seq_gridbscan.dbscan_seq`` on the same points: exact
+(``warm_s == warm_min_s``) to keep the full matrix near its 78 minutes: in
+``BENCH_93e6cf6.json`` the baselines' calls took 52 of them and the warm
+calls of all 76 rows of ours 7.2. Each call is timed as the wall time of
+the call plus ``count()`` of its result, and each result is unpersisted
+after it is checked. The check compares every call with
+``seq_gridbscan.dbscan_seq`` on the same points: exact
 implementations must match its core flags and cluster labels, approximate
 ones its core flags. ``dbscan_seq``'s own time is recorded beside the row as
 the serial floor. Fig. 9's thread rows run in one subprocess per thread count
@@ -201,8 +200,7 @@ def measure(spark, rows: list[Row]) -> list[dict]:
             print(f"{row.figure} {row.dataset} n={row.n} d={row.d} eps={row.eps} "
                   f"minPts={row.min_pts} rho={row.rho} {row.impl} {rec['master']}: "
                   f"cold {rec['cold_s']} s, warm {rec['warm_s']} s (min {rec['warm_min_s']}), "
-                  f"seq {seq_s:.2f} s, "
-                  f"{rec['check']}", flush=True)
+                  f"seq {seq_s:.2f} s, {rec['check']}", flush=True)
             out.append(rec)
         df.unpersist()
     return out

@@ -9,7 +9,6 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro import synth_data as sd
 from repro.core import border, grid, mark_core
 from repro.core.cellkernel import CellTable, blocks, pairs_within, per_block
 from repro.core.reference import dbscan_brute
