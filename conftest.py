@@ -55,7 +55,8 @@ _SESSION = pytest.StashKey[str]()
 
 def pytest_terminal_summary(terminalreporter, config):
     """One line in the test log, also under ``-q``, that tells whether the
-    cgroup derivation saw the real memory limit, and where the session ran."""
+    cgroup derivation saw the real memory limit, where the session ran, and
+    which daemon its Python workers forked from."""
     terminalreporter.write_line(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "
@@ -68,6 +69,9 @@ def spark(request):
     """One SparkSession for the whole test session, with the jobs' settings."""
     s = get_spark("repro-tests")
     sc = s.sparkContext
-    request.config.stash[_SESSION] = f"master={sc.master} defaultParallelism={sc.defaultParallelism}"
+    request.config.stash[_SESSION] = (
+        f"master={sc.master} defaultParallelism={sc.defaultParallelism} "
+        f"daemon={sc.getConf().get('spark.python.daemon.module', 'pyspark.daemon')}"
+    )
     yield s
     s.stop()

@@ -40,11 +40,13 @@ from repro import synth_data as sd  # noqa: E402
 def get_spark(app: str) -> SparkSession:
     """The session: one shuffle partition per core, adaptive execution off
     (the shuffles are already sized, and it would run each shuffle stage as
-    its own job), Arrow on, and only explicitly hinted (cell-scale) tables
-    broadcast."""
+    its own job), Arrow on, only explicitly hinted (cell-scale) tables
+    broadcast, and Python workers forked from ``repro.worker_daemon``, which
+    keeps a task from re-reading ``pyspark.zip``'s directory."""
     s = (
         SparkSession.builder.appName(app)
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
+        .config("spark.python.daemon.module", "repro.worker_daemon")
         .config("spark.sql.adaptive.enabled", "false")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
