@@ -35,7 +35,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core import grid
-from repro.core.cellkernel import per_block
+from repro.core.cellkernel import count_within, per_block
 from repro.primitives.unionfind import UnionFind
 from repro.spatial.bcp import bcp_connected
 
@@ -74,13 +74,10 @@ def _partition_kernel(d: int, eps: float, min_pts: int, pairs: pd.DataFrame):
             idx = by_cell[c]
             if len(idx) >= min_pts:
                 return idx
-            cnt = np.full(len(idx), len(idx), dtype=np.int64)
-            q = arr[idx]
-            for o in nbr_map[c]:
-                p = arr[by_cell[o]]
-                d2 = ((q[:, None, :] - p[None, :, :]) ** 2).sum(axis=2)
-                cnt += (d2 <= eps2).sum(axis=1)
-            return idx[cnt >= min_pts]
+            # The cell's own points count by distance too: rounding can put
+            # two points of one cell just beyond eps.
+            hood = np.concatenate([idx] + [by_cell[o] for o in nbr_map[c]])
+            return idx[count_within(arr[idx], arr[hood], eps) >= min_pts]
 
         # Core flags: complete for home cells by 1-hop replication, and for
         # replicated 1-hop cells by the 2-hop closure shipment.  (2-hop cells

@@ -2,12 +2,14 @@
 
 Every phase after cell construction does the same thing: for a cell, query
 the points of its neighbouring cells — RangeCount in MarkCore (Alg. 2),
-cell-pair connectivity in ClusterCore (Alg. 3), the border check in
+cell-pair connectivity in ClusterCore (Alg. 3), the border check of
 ClusterBorder (Alg. 4); this is the grid framework of Gan & Tao
 (SIGMOD 2015).  In the paper each cell reads its neighbours from shared
 memory; here, as in HPDBSCAN (Götz et al., MLHPC 2015) and RP-DBSCAN
 (Song & Lee, SIGMOD 2018), a worker gets a run of cells plus the halo of
-neighbour cells it reads.
+neighbour cells it reads.  A call runs the kernel twice: MarkCore's pass,
+and ClusterCore's pass, which makes the border check in the same blocks
+(ClusterBorder itself runs no kernel).
 
 ``blocks`` cuts the cells into ``spark.sql.shuffle.partitions`` blocks, runs
 of consecutive cell numbers of about equal weight (cells are numbered in
@@ -17,7 +19,7 @@ a driver table ``need`` — its own (home) cells and the halo cells it reads —
 and runs the phase's ``fn`` once per block in one ``applyInPandas``; ``fn``
 returns the phase's output rows directly, so no phase aggregates by key or
 joins its answer back to the points.  Per-cell facts (counts, core counts,
-cluster labels, root boxes, neighbour lists) reach ``fn`` as numpy arrays
+root boxes, neighbour lists) reach ``fn`` as numpy arrays
 indexed by cell in its closure.  A cell reads its whole *closed*
 neighbourhood (itself and its neighbours, ``CellTable.neighbours``) at once:
 one distance block over its points concatenated, ``count_within`` for a

@@ -18,16 +18,17 @@ our-2d-box-*        d=2, cell_method="box",  graph_method in {bcp,usec,delaunay}
 =================  ========================================================
 
 A cell is its row in the call's ``CellTable`` (``repro.core.cellkernel``),
-so the phases hand each other per-cell facts as arrays indexed by cell.
-MarkCore, ClusterCore and ClusterBorder each run the per-block kernel
-(``cellkernel.per_block``): a block is a run of cells that reads its own
-cells plus a one-cell halo and returns the phase's rows, so no phase joins
-its answer back to the points.  One
-per-point frame, MarkCore's ``(id, cell, x*, is_core)``, carries a call to
-the result: ClusterCore and ClusterBorder read its rows as filters, and
-ClusterBorder labels every point.  A call caches that frame (unless every
-cell is dense, when it is a projection of the points with their cells) and
-the result, and leaves only the result cached.
+so the phases hand each other per-cell facts as arrays indexed by cell.  A
+call runs the per-block kernel (``cellkernel.per_block``) twice, a block
+being a run of cells that reads its own cells plus a one-cell halo:
+MarkCore's pass flags the core points, and ClusterCore's pass decides the
+candidate edges and finds each non-core point's core cells within eps (its
+links).  One per-point frame, MarkCore's ``(id, cell, x*, is_core)``,
+carries a call to the result: ClusterCore's pass reads it, and
+ClusterBorder labels its points, the non-core ones from their links, with
+JVM joins only.  A call caches that frame (unless every cell is dense), the
+pass's output when it decided edges, and the result, and leaves only the
+result cached.
 
 Output: DataFrame (id, is_core, clusters array<long>) — empty array = noise;
 border points may carry several labels.  Cluster labels are canonical core-
@@ -97,8 +98,8 @@ def dbscan(
     stats["t_markcore"] = t2 - t1
 
     # ---- cluster core ---------------------------------------------------
-    cluster, gstats = build_cell_graph(
-        spark, flagged.where("is_core").select("cell", *xc), core_cnt, cells, d, eps,
+    cluster, gstats, links = build_cell_graph(
+        spark, flagged, core_cnt, cells, d, eps,
         method="approx" if approx else graph_method, rho=rho, bucketing=bucketing,
     )
     stats.update(gstats)
@@ -106,13 +107,15 @@ def dbscan(
     stats["t_clustercore"] = t3 - t2
 
     # ---- cluster border -------------------------------------------------
-    result = cluster_border(spark, flagged, cells, core_cnt, cluster, d, eps).cache()
+    result = cluster_border(spark, flagged, cluster, links).cache()
     result.count()
     t4 = time.perf_counter()
     stats["t_border"] = t4 - t3
     stats["t_total"] = t4 - t0
 
     flagged.unpersist()
+    if links is not None:
+        links.unpersist()
     if return_stats:
         return result, stats
     return result

@@ -5,14 +5,14 @@ points in a cell are within eps.  Points of sparse cells count neighbors by
 distance: one RangeCount over their cell and its neighboring cells at once.
 
 The result is the call's one per-point frame ``(id, cell, x*, is_core)``;
-ClusterCore and ClusterBorder read their points from it as filters.  Both
-counts come from the cell table: when it holds no sparse cell, every point
-is core, the flag is a literal column and the core count of a cell is its
-point count, with no Spark job.  Otherwise the frame is the output of the
-shared per-block kernel (``cellkernel.per_block``), blocks weighted by
-point count: each block reads its own cells plus, for each sparse cell, its
-neighbour cells, and returns its own points with their flags.  The frame is
-cached, and the per-cell core counts, an array indexed by cell, are the
+ClusterCore's block pass reads its points from it, and ClusterBorder labels
+them.  Both counts come from the cell table: when it holds no sparse cell,
+every point is core, the flag is a literal column and the core count of a
+cell is its point count, with no Spark job.  Otherwise the frame is the
+output of the shared per-block kernel (``cellkernel.per_block``), blocks
+weighted by point count: each block reads its own cells plus, for each
+sparse cell, its neighbour cells, and returns its own points with their
+flags.  The frame is cached, and the per-cell core counts, an array indexed by cell, are the
 aggregation whose job fills that cache.  A sparse cell's RangeCount is one
 vectorised scan of the neighbourhood's points concatenated (our-exact).
 our-exact-qt (§5.2) takes each neighboring cell of more than 32 points out

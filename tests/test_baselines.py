@@ -125,6 +125,16 @@ def test_naive_border_multimembership(spark):
     assert_same_clustering(res, pts, 5.0, 40)
 
 
+@pytest.mark.parametrize(
+    "run", [pdsdbscan, hpdbscan, rpdbscan, naive_dbscan], ids=lambda f: f.__name__
+)
+def test_baselines_eps_boundary(spark, run):
+    """A sparse cell counts its own points by distance, not by cell: two
+    points of one cell just beyond eps are not each other's neighbours."""
+    res = run(spark, sd.points_df(spark, EPS_BOUNDARY_PTS), EPS_BOUNDARY, 3, 2)
+    assert_same_clustering(res, EPS_BOUNDARY_PTS, EPS_BOUNDARY, 3)
+
+
 def test_all_baselines_agree_on_skewed(spark):
     df = sd.geolife_like(spark, n=400, seed=2)
     pts = df.toPandas().sort_values("id")[["x0", "x1", "x2"]].to_numpy()

@@ -13,10 +13,21 @@ from tests.test_dbscan_exact import _jobs_in_group, _session_conf
 
 
 def _setup(spark, pts, eps, d, min_pts):
+    """MarkCore's frame, its core counts, the cell table and the core points
+    as a pandas frame (cell, x*)."""
     df, cells = grid.build_cells(sd.points_df(spark, pts), eps, d)
-    flags, core_cnt = mark_core(spark, df, d, eps, min_pts, cells)
-    core_pts = df.join(flags.where("is_core").select("id"), "id").select("id", "cell", *grid.xcols(d)).cache()
-    return df, core_pts, core_cnt, cells
+    flagged, core_cnt = mark_core(spark, df, d, eps, min_pts, cells)
+    core_pdf = flagged.where("is_core").select("cell", *grid.xcols(d)).toPandas()
+    return flagged, core_cnt, cells, core_pdf
+
+
+def _graph(*args, **kw):
+    """``build_cell_graph``'s (cluster, stats), with its block pass's cached
+    output unpersisted."""
+    cluster, stats, links = build_cell_graph(*args, **kw)
+    if links is not None:
+        links.unpersist()
+    return cluster, stats
 
 
 def _reference_cell_partition(core_pdf, eps):
@@ -52,12 +63,11 @@ def test_methods_match_reference_2d(spark, method, bucketing):
         pytest.skip("delaunay computes all edges at once; bucketing is a no-op")
     pts = sd.seed_spreader(350, 2, seed=10)
     eps, min_pts = 280.0, 8
-    df, core_pts, core_cnt, cells = _setup(spark, pts, eps, 2, min_pts)
-    labels, stats = build_cell_graph(
-        spark, core_pts.select("cell", "x0", "x1"), core_cnt, cells,
-        2, eps, method=method, bucketing=bucketing,
+    flagged, core_cnt, cells, core_pdf = _setup(spark, pts, eps, 2, min_pts)
+    labels, stats = _graph(
+        spark, flagged, core_cnt, cells, 2, eps, method=method, bucketing=bucketing
     )
-    ref = _reference_cell_partition(core_pts.toPandas(), eps)
+    ref = _reference_cell_partition(core_pdf, eps)
     assert _partition_from_labels(labels) == ref
 
 
@@ -65,11 +75,9 @@ def test_methods_match_reference_2d(spark, method, bucketing):
 def test_bcp_matches_reference_higher_d(spark, d):
     pts = sd.seed_spreader(300, d, seed=d + 20)
     eps, min_pts = 400.0 * np.sqrt(d), 8
-    df, core_pts, core_cnt, cells = _setup(spark, pts, eps, d, min_pts)
-    labels, _ = build_cell_graph(
-        spark, core_pts.select("cell", *grid.xcols(d)), core_cnt, cells, d, eps
-    )
-    ref = _reference_cell_partition(core_pts.toPandas(), eps)
+    flagged, core_cnt, cells, core_pdf = _setup(spark, pts, eps, d, min_pts)
+    labels, _ = _graph(spark, flagged, core_cnt, cells, d, eps)
+    ref = _reference_cell_partition(core_pdf, eps)
     assert _partition_from_labels(labels) == ref
 
 
@@ -78,17 +86,16 @@ def _prune_case(spark):
     connected edges already join."""
     pts = sd.seed_spreader(500, 2, seed=12)
     eps, min_pts = 350.0, 5
-    df, core_pts, core_cnt, cells = _setup(spark, pts, eps, 2, min_pts)
-    core_pts.count()
-    return spark, core_pts.select("cell", "x0", "x1"), core_cnt, cells, 2, eps
+    flagged, core_cnt, cells, _ = _setup(spark, pts, eps, 2, min_pts)
+    return spark, flagged, core_cnt, cells, 2, eps
 
 
 def test_bucketing_prunes_queries(spark):
     """Bucketing must evaluate no more candidate edges than the flat mode and
     produce the identical partition."""
     args = _prune_case(spark)
-    labels_flat, stats_flat = build_cell_graph(*args, bucketing=False)
-    labels_b, stats_b = build_cell_graph(*args, bucketing=True)
+    labels_flat, stats_flat = _graph(*args, bucketing=False)
+    labels_b, stats_b = _graph(*args, bucketing=True)
     assert _partition_from_labels(labels_flat) == _partition_from_labels(labels_b)
     assert stats_b["n_evaluated"] <= stats_flat["n_evaluated"]
 
@@ -99,7 +106,7 @@ def test_block_prunes_queries_without_bucketing(spark):
     is restored afterwards."""
     args = _prune_case(spark)
     with _session_conf(spark, {"spark.sql.shuffle.partitions": "1"}):
-        _, stats = build_cell_graph(*args, bucketing=False)
+        _, stats = _graph(*args, bucketing=False)
     assert stats["n_evaluated"] < stats["n_candidate_edges"]
 
 
@@ -112,7 +119,7 @@ def test_one_round(spark, method, bucketing):
     args = _prune_case(spark)
     (_, stats), jobs = _jobs_in_group(
         spark, f"test-one-round-{method}-{bucketing}",
-        lambda: build_cell_graph(*args, method=method, bucketing=bucketing),
+        lambda: _graph(*args, method=method, bucketing=bucketing),
     )
     assert stats["n_candidate_edges"] > 0
     assert jobs == 2
@@ -120,22 +127,19 @@ def test_one_round(spark, method, bucketing):
 
 def test_no_core_cells(spark):
     pts = sd.seed_spreader(60, 2, seed=13)
-    df, core_pts, core_cnt, cells = _setup(spark, pts, 200.0, 2, 1000)
-    labels, stats = build_cell_graph(
-        spark, core_pts.select("cell", "x0", "x1"), core_cnt, cells, 2, 200.0
-    )
+    flagged, core_cnt, cells, _ = _setup(spark, pts, 200.0, 2, 1000)
+    labels, stats, links = build_cell_graph(spark, flagged, core_cnt, cells, 2, 200.0)
     assert labels.tolist() == [-1] * len(cells.pdf)
     assert stats["n_clusters"] == 0
+    assert links is None
 
 
 def test_single_cell_graph(spark):
     rng = np.random.default_rng(5)
     side = grid.cell_side(10.0, 2)
     pts = rng.random((40, 2)) * side * 0.99
-    df, core_pts, core_cnt, cells = _setup(spark, pts, 10.0, 2, 5)
-    labels, stats = build_cell_graph(
-        spark, core_pts.select("cell", "x0", "x1"), core_cnt, cells, 2, 10.0
-    )
+    flagged, core_cnt, cells, _ = _setup(spark, pts, 10.0, 2, 5)
+    labels, stats = _graph(spark, flagged, core_cnt, cells, 2, 10.0)
     assert stats["n_clusters"] == 1
     assert labels.tolist() == [0]
 
@@ -145,8 +149,7 @@ def test_cell_edges_oracle_sql(spark):
     min core-point distance ≤ eps (restricted to candidate neighbor pairs)."""
     pts = sd.seed_spreader(250, 2, seed=14)
     eps, min_pts = 300.0, 6
-    df, core_pts, core_cnt, cells = _setup(spark, pts, eps, 2, min_pts)
-    core_pdf = core_pts.toPandas()
+    _, _, cells, core_pdf = _setup(spark, pts, eps, 2, min_pts)
     # Spark-side: evaluate all candidate edges via the flat path, reading the
     # UF merges indirectly through the label partition refinement is lossy;
     # instead recompute edges here with the kernel-independent definition.

@@ -1,17 +1,20 @@
 """Contract of the per-block kernel (repro.core.cellkernel): ``blocks`` cuts
 the cells into weight-balanced runs, ``per_block`` ships each block exactly
 the rows its ``need`` table lists, ``pairs_within`` finds every pair within
-eps; and the MarkCore and ClusterBorder block functions, called without
-Spark on one block that holds every cell, make one distance block per cell."""
+eps; and the two block functions, MarkCore's and ClusterCore's (which also
+finds the border links), called without Spark on one block that holds every
+cell, match brute force, and MarkCore's makes one distance block per cell."""
 from contextlib import contextmanager
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import border, grid, mark_core
+from repro.core import cellgraph, grid, mark_core
+from repro.core.border import cluster_border
 from repro.core.cellkernel import CellTable, blocks, pairs_within, per_block
 from repro.core.reference import dbscan_brute
+from repro.primitives.unionfind import UnionFind
 
 
 @contextmanager
@@ -118,7 +121,48 @@ def test_mark_block_one_count_per_sparse_cell(monkeypatch, use_quadtree):
     assert len(calls) == len(sparse)
 
 
-def test_border_block_labels_sorted_and_noise_empty():
+def _cluster_block(pts, eps, min_pts):
+    """Run ClusterCore's block function on one block holding every cell, with
+    every neighbouring core-cell pair as a candidate edge once, in cell
+    order; returns (out, cells, cell, core, g, h)."""
+    core, _ = dbscan_brute(pts, eps, min_pts)
+    cells, pdf = _one_block(pts, eps)
+    cell, m = pdf["cell"].to_numpy(), len(cells.pdf)
+    core_cnt = np.bincount(cell[core], minlength=m)
+    g, h = cells.pairs["cell"].to_numpy(), cells.pairs["ncell"].to_numpy()
+    keep = (core_cnt[g] > 0) & (core_cnt[h] > 0) & (g > h)
+    fn = cellgraph._cluster_block(
+        g[keep], h[keep], np.zeros(m, dtype=np.int64), cells, pts.shape[1], eps, "bcp", 0.01
+    )
+    return fn(0, pdf.assign(is_core=core)), cells, cell, core, g[keep], h[keep]
+
+
+def test_cluster_block_edges_and_links_match_brute_force():
+    """Edge rows: the edges a walk in order checks, skipping an edge whose
+    cells its connected edges already join, each with its brute-force
+    connectivity.  Link rows: each non-core point once, with the sorted set
+    of cells that hold a core point within eps of it (``[]`` for noise)."""
+    pts = np.random.default_rng(5).random((400, 2)) * 20.0
+    eps = 1.5
+    out, cells, cell, core, g, h = _cluster_block(pts, eps, 8)
+    near = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2) <= eps * eps
+    uf, want = UnionFind(len(cells.pdf)), []
+    for e, (a, b) in enumerate(zip(g, h)):
+        if uf.connected(a, b):
+            continue
+        want.append((e, bool(near[np.ix_((cell == a) & core, (cell == b) & core)].any())))
+        if want[-1][1]:
+            uf.union(a, b)
+    edges, links = out[out["edge"]], out[~out["edge"]]
+    assert list(zip(edges["id"], edges["connected"])) == want
+    assert 0 < sum(c for _, c in want) < len(want) < len(g)  # some skipped, some unconnected
+    assert sorted(links["id"]) == np.flatnonzero(~core).tolist()
+    for i, got in zip(links["id"], links["cells"]):
+        assert got == sorted(set(cell[core & near[i]].tolist()))
+    assert (links["cells"].map(len) == 0).any() and (links["cells"].map(len) > 1).any()
+
+
+def test_border_block_labels_sorted_and_noise_empty(spark):
     """A border point within eps of two clusters gets both labels, sorted,
     although its lower-numbered neighbour cells hold the larger label; noise
     gets none."""
@@ -127,13 +171,18 @@ def test_border_block_labels_sorted_and_noise_empty():
     # labels are min core ids: right 0, left 40; bridge 80 and noise 81
     pts = np.vstack([right, left, [[5.0, 0.0], [100.0, 100.0]]])
     eps, min_pts = 5.0, 40
-    core, labels = dbscan_brute(pts, eps, min_pts)
-    cells, pdf = _one_block(pts, eps)
-    cell = pdf["cell"].to_numpy()
-    core_cnt = np.bincount(cell[core], minlength=len(cells.pdf))
+    _, labels = dbscan_brute(pts, eps, min_pts)
+    out, cells, cell, core, _, _ = _cluster_block(pts, eps, min_pts)
     cluster = np.full(len(cells.pdf), -1, dtype=np.int64)
     cluster[cell[core]] = [min(labels[i]) for i in np.flatnonzero(core)]
-    out = border._border_block(cells, core_cnt, cluster, 2, eps)(0, pdf.assign(is_core=core))
-    got = dict(zip(out["id"], out["clusters"]))
-    assert set(got) == {80, 81}
-    assert got[80] == [0, 40] and got[81] == []
+    links = out[~out["edge"]]
+    assert dict(zip(links["id"], links["cells"].map(lambda c: cluster[c].tolist()))) == {
+        80: [40, 0], 81: []
+    }
+    flagged = spark.createDataFrame(
+        pd.DataFrame({"id": np.arange(len(pts)), "cell": cell, "is_core": core}),
+        "id long, cell long, is_core boolean",
+    )
+    res = cluster_border(spark, flagged, cluster, spark.createDataFrame(out, cellgraph.PASS_SCHEMA))
+    got = {r["id"]: r["clusters"] for r in res.where("not is_core").collect()}
+    assert got == {80: [0, 40], 81: []}

@@ -278,14 +278,13 @@ def test_no_shuffled_join(spark, cell_method, adaptive):
         pts_cells, cells = CELL_METHODS[cell_method](sd.points_df(spark, BORDER_PTS), 1.0, 2)
         assert set(_joins(pts_cells)) <= {"BroadcastHashJoin"}
         flagged, core_cnt = mark_core(spark, pts_cells, 2, 1.0, 5, cells)
-        cluster, _ = build_cell_graph(
-            spark, flagged.where("is_core").select("cell", "x0", "x1"), core_cnt, cells, 2, 1.0
-        )
-        result = cluster_border(spark, flagged, cells, core_cnt, cluster, 2, 1.0)
+        cluster, _, links = build_cell_graph(spark, flagged, core_cnt, cells, 2, 1.0)
+        result = cluster_border(spark, flagged, cluster, links)
         assert result_to_pandas(result)["clusters"].map(len).tolist() == [1] * 6 + [0]
         for df in (flagged, result):
             assert set(_joins(df)) == {"BroadcastHashJoin"}, _joins(df)
         flagged.unpersist()
+        links.unpersist()
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -317,7 +316,8 @@ def test_eps_boundary_in_one_cell(spark, variant):
 # Spark jobs per call with adaptive execution off on the inputs below, as
 # measured when the ceiling was set (the count is the same at 1, 4, 7 and 64
 # shuffle partitions).  A change that adds jobs to a call fails here.
-MAX_JOBS = {1: 7, 8: 9}
+MAX_JOBS = {1: 7, 8: 8}
+JOB_COUNT_PTS = sd.seed_spreader(300, 2, seed=30, noise_frac=0.05)
 
 
 @pytest.mark.parametrize("adaptive", ["false", "true"], ids=["aqe-off", "aqe-on"])
@@ -325,7 +325,7 @@ MAX_JOBS = {1: 7, 8: 9}
 def test_job_count_same_across_calls(spark, min_pts, adaptive):
     """Clean calls on one cached input run the same number of Spark jobs,
     and with adaptive execution off no more than ``MAX_JOBS``."""
-    pts = sd.seed_spreader(300, 2, seed=30, noise_frac=0.05)
+    pts = JOB_COUNT_PTS
     with _session_conf(spark, {AQE: adaptive}):
         df = sd.points_df(spark, pts).cache()
         df.count()
@@ -342,6 +342,27 @@ def test_job_count_same_across_calls(spark, min_pts, adaptive):
     assert len(set(jobs)) == 1, jobs
     if adaptive == "false":
         assert jobs[0] <= MAX_JOBS[min_pts], jobs
+
+
+# One call of each variant on the input with noise above, adaptive execution
+# off: box cells give the points their box from the driver's copy, with no
+# broadcast of the grid's cell numbers, so they run one job fewer.  Delaunay
+# collects the core points for the driver's triangulation and ships its
+# block pass's table during border, in place of ClusterCore's two jobs.
+VARIANT_MAX_JOBS = {v: 7 if VARIANTS[v].get("cell_method") == "box" else 8 for v in VARIANTS}
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_job_count_per_variant(spark, variant):
+    df = sd.points_df(spark, JOB_COUNT_PTS).cache()
+    df.count()
+    with _session_conf(spark, {AQE: "false"}):
+        res, jobs = _jobs_in_group(
+            spark, f"test-job-count-{variant}", lambda: dbscan_variant(spark, df, 250.0, 8, 2, variant)
+        )
+    res.unpersist()
+    df.unpersist()
+    assert jobs <= VARIANT_MAX_JOBS[variant], jobs
 
 
 def test_duplicate_points(spark):
