@@ -38,6 +38,7 @@ def main() -> None:
         f"minPts={args.minpts} variant={args.variant} "
         f"time={stats['t_total']:.2f}s clusters={stats['n_clusters']} "
         f"cells={stats['n_cells']} edges={stats['n_evaluated']}/{stats['n_candidate_edges']} "
+        f"range_pairs={stats['n_range_pairs']} "
         f"phases=cells:{stats['t_cells']:.2f}/mark:{stats['t_markcore']:.2f}/"
         f"graph:{stats['t_clustercore']:.2f}/border:{stats['t_border']:.2f}"
     )

@@ -12,16 +12,19 @@ baseline" for the Figure 8 speedup experiment and the experiments'
 correctness check.
 
 Cells and neighbours come from ``grid`` (cells numbered in coordinate order,
-``grid.neighbor_pairs``, ``CellTable.neighbours``); MarkCore and border make
-one distance block per cell over its whole neighbourhood (``count_within``,
-``pairs_within``).  ``reference.dbscan_brute`` stays the independent reference.
+``grid.neighbor_pairs``, ``CellTable.neighbours``).  MarkCore counts a sparse
+cell with the pipeline's own RangeCount, ``cellkernel.core_within``, which
+stops at minPts and takes larger neighbours nearest first, so this stays the
+best serial code here; border makes one distance block per cell over its
+whole neighbourhood (``pairs_within``).  ``reference.dbscan_brute`` stays
+the independent reference.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
-from repro.core.cellkernel import CellTable, count_within, pairs_within
+from repro.core.cellkernel import CellTable, core_within, pairs_within
 from repro.core.grid import ccols, cell_side, neighbor_pairs
 from repro.primitives.unionfind import UnionFind
 from repro.spatial.bcp import bcp_connected
@@ -51,7 +54,13 @@ def dbscan_seq(
         if len(idx) >= min_pts:
             core[idx] = True
         else:
-            core[idx] = count_within(pts[idx], pts[gather(c)], eps) >= min_pts
+            hood = nbr[start[c] : start[c + 1]]
+            hood = hood[hood != c]
+
+            def gap(j: np.ndarray) -> np.ndarray:  # squared gap in cell units
+                return (np.maximum(np.abs(coords[hood[j]] - coords[c]) - 1, 0) ** 2).sum(axis=1)
+
+            core[idx], _ = core_within(pts, idx, [members[h] for h in hood], gap, eps, min_pts)
 
     # ---- cluster core: cell graph with UF pruning -----------------------
     core_members = [idx[core[idx]] for idx in members]

@@ -14,19 +14,24 @@ Connectivity between a pair is decided by one of the paper's methods:
 * ``delaunay`` — edges of the Delaunay triangulation over all core points,
               filtered to cross-cell edges of length ≤ eps (2D).
 
-Every candidate edge is decided in one pass of the per-block kernel
-(``cellkernel.per_block``) over MarkCore's frame, blocks weighted by point
-count: the block of an edge's responsible cell g reads the core points of g
-and h.  The same pass gives each non-core point of a block's own cells its
-*links*, the cells with a core point within eps (one ``pairs_within`` block
-per cell against its closed neighbourhood's core points), as HPDBSCAN
-records border links in its local pass: Alg. 4 needs only these cell-level
-facts.  Delaunay decides its edges on the driver; its pass only finds
-links.  The optimisations of §4.4 are reproduced:
+A call's one pass of the per-block kernel (``cellkernel.per_block``), blocks
+weighted by point count, does MarkCore and ClusterCore and finds the border
+links.  A block reads its own cells, their neighbours, and the neighbours of
+every sparse cell among those (a two-cell halo, all worked out on the
+driver from the cell counts alone).  It flags the points of its own cells
+and their neighbours (``mark_core``), which gives it the core counts that
+pick its candidate edges, the ones whose responsible cell it owns; it
+decides those edges on the core points of their two cells; and it gives
+each non-core point of its own cells its *links*, the cells with a core
+point within eps (one ``pairs_within`` block per cell against its closed
+neighbourhood's core points), as HPDBSCAN records border links in its local
+pass: Alg. 4 needs only these cell-level facts.  Delaunay decides its edges
+on the driver, from the core points the pass returns.  The optimisations of
+§4.4 are reproduced:
 
 * each pair is checked once (responsible cell = the one with more core
   points, ties by the higher cell number), picked by one vectorised mask
-  over the cell table's neighbour pairs;
+  over the neighbour pairs;
 * connectivity-query reduction — each block walks its edges in order with
   a union-find over the cells it reads and skips a pair its own connected
   edges already join.  Local connectivity implies global connectivity, so
@@ -45,36 +50,72 @@ from pyspark.sql import DataFrame
 
 from repro.core.cellkernel import CellTable, blocks, pairs_within, per_block
 from repro.core.grid import xcols
+from repro.core.mark_core import CoreMarks
 from repro.primitives.unionfind import UnionFind
 from repro.spatial.bcp import bcp_connected, connected_approx, connected_via_quadtree
 from repro.spatial.delaunay import delaunay_edges
 from repro.spatial.usec import usec_connected
 
-# The block pass's rows: an edge row (edge, id = the candidate edge's index,
-# connected) per edge a block checked, with no cells; a link row (not edge,
-# id = the point's id, cells) per non-core point, never connected.
-PASS_SCHEMA = "edge boolean, id long, connected boolean, cells array<long>"
+# The block pass's rows, by kind; a column a kind does not name is 0, false
+# or empty.
+#   POINT       one per point of a block's own cells when some cell is
+#               sparse: id, cell, is_core, and cells = its links (sorted;
+#               [] for a core point or noise)
+#   EDGE        one per candidate edge the block checked: cell = the
+#               responsible cell, id = the other cell, is_core = connected
+#   CELL        one per own cell: cell, id = its core count, n = the
+#               (point, neighbour point) pairs its RangeCounts covered
+#   CORE_POINT  Delaunay only, one per core point of an own cell: cell, x
+POINT, EDGE, CELL, CORE_POINT = range(4)
+PASS_SCHEMA = (
+    "kind int, id long, cell long, is_core boolean, n long, cells array<long>, x array<double>"
+)
+
+
+def candidate_edges(
+    pg: np.ndarray, ph: np.ndarray, core_cnt: np.ndarray, bucketing: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate edges ``(g, h)`` among the neighbour pairs ``(pg, ph)``:
+    core-cell pairs, each once with the responsible cell g (more core
+    points, ties by the higher number) first, in walking order."""
+    cg, ch = core_cnt[pg], core_cnt[ph]
+    keep = (ch > 0) & ((cg > ch) | ((cg == ch) & (pg > ph)))
+    g, h = pg[keep], ph[keep]
+    order = np.lexsort((h, g, -core_cnt[g])) if bucketing else np.lexsort((h, g))
+    return g[order], h[order]
+
+
+def halo(block: np.ndarray, cells: CellTable, sparse: np.ndarray) -> pd.DataFrame:
+    """The pass's ``need`` table ``(cell, block)``: each block's own cells,
+    their neighbours, and the neighbours of every sparse cell among those."""
+    start, nbr = cells.neighbours()
+    near = pd.DataFrame({"cell": nbr, "block": np.repeat(block, np.diff(start))}).drop_duplicates()
+    far = near[sparse[near["cell"]]].merge(cells.pairs, on="cell")
+    return pd.concat([near, far[["ncell", "block"]].rename(columns={"ncell": "cell"})])
 
 
 def _cluster_block(
-    g: np.ndarray,
-    h: np.ndarray,
+    flag,
     block: np.ndarray,
     cells: CellTable,
     d: int,
     eps: float,
     method: str,
     rho: float,
+    bucketing: bool,
+    points: bool,
 ):
-    """Per-block kernel of the pass, over rows (id, cell, x*, is_core).
+    """Per-block kernel of the pass, over rows (id, cell, x*, home).
 
-    Edges: walk the candidate edges ``e`` (g[e], h[e]) whose responsible
-    cell g is the block's own, in the given order, skip an edge whose cells
+    Flags the points of the block's own cells and their neighbours with
+    ``flag`` (``CoreMarks.flag``).  Edges: walk the candidate edges whose
+    responsible cell is the block's own, in order, skip an edge whose cells
     the block's union-find already joins, and decide the others by the
-    chosen connectivity method on g's and h's core points (and h's root
-    box); one edge row per edge it checked.  Links: one link row per
-    non-core point of the block's own cells, with the sorted cells that
-    hold a core point within eps of it (``[]`` for noise)."""
+    chosen connectivity method on the two cells' core points (and the other
+    cell's root box); one EDGE row per edge it checked.  Links: the sorted
+    cells that hold a core point within eps of each non-core point of the
+    own cells.  Returns ``PASS_SCHEMA`` rows: POINT rows when ``points``,
+    and CELL (and, for Delaunay, CORE_POINT) rows."""
     xc = xcols(d)
     boxes = cells.pdf[[f"lo{j}" for j in range(d)] + ["side"]].to_numpy(dtype=np.float64)
     start, nbr = cells.neighbours()
@@ -88,54 +129,79 @@ def _cluster_block(
 
     def fn(b: int, pdf: pd.DataFrame) -> pd.DataFrame:
         x = pdf[xc].to_numpy(dtype=np.float64)
-        cell, core = pdf["cell"].to_numpy(), pdf["is_core"].to_numpy()
-        part = pdf.groupby(["cell", "is_core"], sort=False).indices
+        cell = pdf["cell"].to_numpy()
+        by_cell = pdf.groupby("cell", sort=False).indices
+        lo, hi = np.searchsorted(block, [b, b + 1])  # the own cells lo..hi-1
+        hood = nbr[start[lo] : start[hi]]
+        todo = np.unique(hood)
+        is_core, pairs = flag(x, by_cell, todo, start, nbr)
+        core_cnt = np.bincount(cell[is_core], minlength=len(block))
 
         def core_rows(c) -> np.ndarray:
-            return part.get((c, True), none)
+            rows = by_cell[c]
+            return rows[is_core[rows]]
 
-        mine = np.flatnonzero(block[g] == b)
+        g, h = candidate_edges(np.repeat(np.arange(lo, hi), np.diff(start[lo : hi + 1])), hood,
+                               core_cnt, bucketing)
+        if connect is None:
+            g, h = g[:0], h[:0]
         # Local union-find over the block's own and halo cells.
-        local, ends = np.unique(np.concatenate([g[mine], h[mine]]), return_inverse=True)
+        local, ends = np.unique(np.concatenate([g, h]), return_inverse=True)
         uf = UnionFind(len(local))
-        checked = np.zeros(len(mine), dtype=bool)
-        conn = np.zeros(len(mine), dtype=bool)
-        for i, e in enumerate(mine):
-            a, c = ends[i], ends[len(mine) + i]
+        checked = np.zeros(len(g), dtype=bool)
+        conn = np.zeros(len(g), dtype=bool)
+        for e in range(len(g)):
+            a, c = ends[e], ends[len(g) + e]
             if uf.connected(a, c):
                 continue
             pa, pb = x[core_rows(g[e])], x[core_rows(h[e])]
-            conn[i] = connect(pa, pb, boxes[h[e], :-1], float(boxes[h[e], -1]))
-            checked[i] = True
-            if conn[i]:
+            conn[e] = connect(pa, pb, boxes[h[e], :-1], float(boxes[h[e], -1]))
+            checked[e] = True
+            if conn[e]:
                 uf.union(a, c)
 
-        own = np.flatnonzero(pdf["home"].to_numpy() & ~core)
+        home = np.flatnonzero(pdf["home"].to_numpy())
+        own = home[~is_core[home]]
         rows, links = [none], [none]
         for c in np.unique(cell[own]):
-            q = part[(c, False)]
-            p = np.concatenate([none] + [core_rows(t) for t in nbr[start[c] : start[c + 1]]])
+            near = nbr[start[c] : start[c + 1]]
+            if not core_cnt[near].any():  # no core point within reach: noise
+                continue
+            q = by_cell[c][~is_core[by_cell[c]]]
+            p = np.concatenate([core_rows(t) for t in near])
             i, j = pairs_within(x[q], x[p], eps)
             rows.append(q[i])
             links.append(cell[p[j]])
         # (row, core cell) pairs sorted by row, then cell, each once
         row, link = np.unique(np.stack([np.concatenate(rows), np.concatenate(links)]), axis=1)
-        lo, hi = np.searchsorted(row, own), np.searchsorted(row, own, side="right")
-        n = int(checked.sum())
-        return pd.DataFrame({
-            "edge": np.arange(n + len(own)) < n,
-            "id": np.concatenate([mine[checked], pdf["id"].to_numpy()[own]]),
-            "connected": np.concatenate([conn[checked], np.zeros(len(own), dtype=bool)]),
-            "cells": [[]] * n + [link[a:z].tolist() for a, z in zip(lo, hi)],
-        })
+        a, z = np.searchsorted(row, home), np.searchsorted(row, home, side="right")
+        ours = np.arange(lo, hi)
+        out = [
+            _rows(EDGE, cell=g[checked], id=h[checked], is_core=conn[checked]),
+            _rows(CELL, cell=ours, id=core_cnt[ours], n=pairs[np.searchsorted(todo, ours)]),
+        ]
+        if points:
+            out.append(_rows(POINT, id=pdf["id"].to_numpy()[home], cell=cell[home],
+                             is_core=is_core[home], cells=[link[i:j].tolist() for i, j in zip(a, z)]))
+        if method == "delaunay":
+            mine = home[is_core[home]]
+            out.append(_rows(CORE_POINT, cell=cell[mine], x=x[mine].tolist()))
+        return pd.concat(out, ignore_index=True)
 
     return fn
 
 
+def _rows(kind: int, **cols) -> pd.DataFrame:
+    """Pass rows of one kind from the columns given; the others are 0,
+    false or empty."""
+    n = len(next(iter(cols.values())))
+    fill = {"id": 0, "cell": 0, "is_core": False, "n": 0, "cells": [[]] * n, "x": [[]] * n}
+    return pd.DataFrame({"kind": kind, **fill, **cols}, index=range(n))
+
+
 def build_cell_graph(
     spark,
-    flagged: DataFrame,
-    core_cnt: np.ndarray,
+    marks: CoreMarks,
     cells: CellTable,
     d: int,
     eps: float,
@@ -143,65 +209,58 @@ def build_cell_graph(
     rho: float = 0.01,
     bucketing: bool = False,
 ) -> tuple[np.ndarray, dict[str, object], DataFrame | None]:
-    """Cluster core cells and find the border links: returns (cluster, stats, links).
+    """Mark the core points, cluster the core cells and find the border
+    links in one block pass: returns (cluster, stats, rows).
 
     ``cluster`` is indexed by cell: the component label of each cell with a
     core point, the lowest cell number in its component, and -1 elsewhere.
-    ``links`` is the block pass's output (``PASS_SCHEMA``), whose link rows
-    give every non-core point its cells with a core point within eps, or
-    None when no point is core or none is non-core.  It is cached when the
-    pass also decided edges, and the caller unpersists it.
+    ``rows`` is the pass's output (``PASS_SCHEMA``), whose POINT rows give
+    every point its flag and links; it is cached and the caller unpersists
+    it.  It is None when no cell is sparse: then every point is core.
 
     Parameters
     ----------
-    flagged  : MarkCore's per-point frame (id, cell, x*, is_core).
-    core_cnt : each cell's number of core points, indexed by cell.
+    marks    : MarkCore's part of the pass (``mark_core``).
     cells    : the call's cell table (counts, quadtree root box and
                neighbour pairs).
     bucketing: order the edges by non-increasing core count of the
                responsible cell instead of by cell number.
     """
-    vertices = np.flatnonzero(core_cnt)
-    uf = UnionFind(len(core_cnt))
-
-    # Candidate edges: neighboring core-cell pairs, each once with the
-    # responsible cell (more core points, ties by the higher number) first.
+    if method == "delaunay" and d != 2:
+        raise ValueError("delaunay cell graph requires d=2")
+    cnt = cells.pdf["cnt"].to_numpy(dtype=np.int64)
     pg, ph = cells.pairs["cell"].to_numpy(), cells.pairs["ncell"].to_numpy()
-    cg, ch = core_cnt[pg], core_cnt[ph]
-    keep = (ch > 0) & ((cg > ch) | ((cg == ch) & (pg > ph)))
-    g, h = pg[keep], ph[keep]
-    order = np.lexsort((g, -core_cnt[g])) if bucketing else np.lexsort((h, g))
-    g, h = g[order], h[order]
-    # Delaunay decides every candidate edge at once.
+    core_cnt, rows = cnt.copy(), None
+    small = _rows(CELL, cell=np.empty(0, dtype=np.int64))  # the pass's rows other than POINT
+    # With no sparse cell every point is core, and the pass only decides edges.
+    sparse = marks.sparse.any()
+    if sparse or len(pg):
+        block = blocks(spark, cnt)
+        fn = _cluster_block(marks.flag, block, cells, d, eps, method, rho, bucketing, sparse)
+        out = per_block(spark, marks.points, halo(block, cells, marks.sparse), block, fn, PASS_SCHEMA)
+        if sparse:  # border reads the point rows again
+            rows = out.cache()
+        small = out.where(f"kind != {POINT}").toPandas()
+    kind = small["kind"].to_numpy()
+    per_cell = small[kind == CELL]
+    core_cnt[per_cell["cell"].to_numpy(dtype=np.int64)] = per_cell["id"].to_numpy(dtype=np.int64)
+    vertices = np.flatnonzero(core_cnt)
+    g, _ = candidate_edges(pg, ph, core_cnt, bucketing)
+    checked = small[kind == EDGE]
     stats: dict[str, object] = {
-        "n_core_cells": len(vertices), "n_candidate_edges": len(g), "n_evaluated": len(g),
+        "n_core_cells": len(vertices),
+        "n_candidate_edges": len(g),
+        "n_evaluated": len(g) if method == "delaunay" else len(checked),
+        "n_range_pairs": int(per_cell["n"].sum()),
     }
     if method == "delaunay":
-        for a, b in _delaunay_cell_edges(flagged.where("is_core"), d, eps):
-            uf.union(a, b)
-        g, h = g[:0], h[:0]
-
-    # The cells with a non-core point need links, unless no point is core.
-    cnt = cells.pdf["cnt"].to_numpy()
-    own = np.flatnonzero((cnt > core_cnt) & (len(vertices) > 0))
-    links = None
-    if len(g) or len(own):
-        block = blocks(spark, cnt)
-        halo = (cnt[pg] > core_cnt[pg]) & (core_cnt[ph] > 0)
-        need = pd.DataFrame({
-            "cell": np.concatenate([g, h, own, ph[halo]]),
-            "block": np.concatenate([block[g], block[g], block[own], block[pg[halo]]]),
-        })
-        fn = _cluster_block(g, h, block, cells, d, eps, method, rho)
-        links = per_block(spark, flagged, need, block, fn, PASS_SCHEMA)
-    if len(g):
-        if len(own):  # border reads the pass again
-            links.cache()
-        rows = links.where("edge").select("id", "connected").collect()
-        for r in rows:
-            if r["connected"]:
-                uf.union(g[r["id"]], h[r["id"]])
-        stats["n_evaluated"] = len(rows)
+        core_pts = small[kind == CORE_POINT]
+        edges = _delaunay_cell_edges(core_pts["cell"].to_numpy(), core_pts["x"].tolist(), eps)
+    else:
+        edges = checked.loc[checked["is_core"], ["cell", "id"]].to_numpy(dtype=np.int64)
+    uf = UnionFind(len(core_cnt))
+    for a, b in edges:
+        uf.union(int(a), int(b))
 
     # Canonical component labels: the lowest cell number per component.
     roots, first, inverse = np.unique(
@@ -210,31 +269,21 @@ def build_cell_graph(
     cluster = np.full(len(core_cnt), -1, dtype=np.int64)
     cluster[vertices] = vertices[first][inverse]
     stats["n_clusters"] = len(roots)
-    return cluster, stats, links if len(own) else None
+    return cluster, stats, rows
 
 
-def _delaunay_cell_edges(core_pts: DataFrame, d: int, eps: float) -> set[tuple[int, int]]:
-    """2D Delaunay-based cell edges: DT over all core points, keep cross-cell
-    edges with length ≤ eps (Figure 3)."""
-    if d != 2:
-        raise ValueError("delaunay cell graph requires d=2")
-    pdf = core_pts.select("cell", "x0", "x1").toPandas()
-    if len(pdf) == 0:
-        return set()
-    pts = pdf[["x0", "x1"]].to_numpy(dtype=np.float64)
-    cells = pdf["cell"].to_numpy()
+def _delaunay_cell_edges(cell: np.ndarray, xy: list, eps: float) -> list[tuple[int, int]]:
+    """2D Delaunay-based cell edges: DT over all core points (their cells
+    and coordinates), keep cross-cell edges with length ≤ eps (Figure 3)."""
+    if not len(cell):
+        return []
+    pts = np.asarray(xy, dtype=np.float64)
     # A representative point per unique coordinate (duplicates share a cell —
     # identical points always land in the same grid/box cell).
     uniq, rep = np.unique(pts, axis=0, return_index=True)
     e = delaunay_edges(uniq)
     if len(e) == 0:
-        return set()
-    pa = uniq[e[:, 0]]
-    pb = uniq[e[:, 1]]
-    ok = ((pa - pb) ** 2).sum(axis=1) <= eps * eps
-    out = set()
-    for i, j in e[ok]:
-        ca, cb = cells[rep[i]], cells[rep[j]]
-        if ca != cb:
-            out.add((ca, cb) if ca < cb else (cb, ca))
-    return out
+        return []
+    ok = ((uniq[e[:, 0]] - uniq[e[:, 1]]) ** 2).sum(axis=1) <= eps * eps
+    ca, cb = cell[rep[e[ok, 0]]], cell[rep[e[ok, 1]]]
+    return list(zip(ca[ca != cb], cb[ca != cb]))

@@ -7,9 +7,9 @@ ClusterBorder (Alg. 4); this is the grid framework of Gan & Tao
 (SIGMOD 2015).  In the paper each cell reads its neighbours from shared
 memory; here, as in HPDBSCAN (Götz et al., MLHPC 2015) and RP-DBSCAN
 (Song & Lee, SIGMOD 2018), a worker gets a run of cells plus the halo of
-neighbour cells it reads.  A call runs the kernel twice: MarkCore's pass,
-and ClusterCore's pass, which makes the border check in the same blocks
-(ClusterBorder itself runs no kernel).
+neighbour cells it reads.  A call runs the kernel once: one pass does
+MarkCore, ClusterCore and the border check over a two-cell halo
+(``cellgraph``; MarkCore and ClusterBorder run no kernel of their own).
 
 ``blocks`` cuts the cells into ``spark.sql.shuffle.partitions`` blocks, runs
 of consecutive cell numbers of about equal weight (cells are numbered in
@@ -17,20 +17,22 @@ coordinate order for grid and strip order for box, so a run is spatially
 compact).  ``per_block`` ships each block the rows of the cells it lists in
 a driver table ``need`` — its own (home) cells and the halo cells it reads —
 and runs the phase's ``fn`` once per block in one ``applyInPandas``; ``fn``
-returns the phase's output rows directly, so no phase aggregates by key or
-joins its answer back to the points.  Per-cell facts (counts, core counts,
-root boxes, neighbour lists) reach ``fn`` as numpy arrays
-indexed by cell in its closure.  A cell reads its whole *closed*
-neighbourhood (itself and its neighbours, ``CellTable.neighbours``) at once:
-one distance block over its points concatenated, ``count_within`` for a
-RangeCount and ``pairs_within`` for the pairs, both one blocked scan.
+returns the pass's output rows directly, so no phase aggregates by key or
+joins its answer back to the points.  Per-cell facts (counts, root boxes,
+neighbour lists) reach ``fn`` as numpy arrays indexed by cell in its
+closure.  A cell reads its whole *closed* neighbourhood (itself and its
+neighbours, ``CellTable.neighbours``): ``pairs_within`` finds the pairs
+within eps in one blocked scan over its points concatenated, and
+``core_within``, MarkCore's RangeCount, makes one such scan over the cell
+and its small neighbours and then counts each larger neighbour, nearest
+first, on the points still below minPts only.
 
 ``CellTable`` is the contract shared by grid (§4.1) and box (§4.2) cells:
 the driver table of non-empty cells — the stand-in for the paper's parallel
 hash table — and the neighbour pairs.  A cell is its row in that table, an
 integer ``0..m-1`` (``long`` in every Spark schema).
 
-Every cell-scale driver table (the grid's cell numbers, a ``need`` table,
+Every cell-scale driver table (the grid's cell numbers, the ``need`` table,
 cluster labels) enters Spark through ``driver_table`` as a broadcast: the
 paper's threads read its cell hash table from shared memory, and here every
 task reads a broadcast copy, so a join of such a table with a point-scale
@@ -71,6 +73,12 @@ class CellTable(NamedTuple):
         return start, h[order]
 
 
+# A neighbour cell of at most this many points joins a sparse cell's first
+# RangeCount scan (``core_within``); a larger one is counted on its own, on
+# the points still below minPts (our-exact-qt: by a quadtree).
+SMALL_CELL = 32
+
+
 def driver_table(spark: SparkSession, pdf: pd.DataFrame, schema: str) -> DataFrame:
     """A cell-scale driver table as a broadcast-hinted Spark DataFrame."""
     return F.broadcast(spark.createDataFrame(pdf, schema))
@@ -92,6 +100,47 @@ def count_within(q: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
     for i, hit in _within(q, p, eps):
         cnt[i : i + len(hit)] = hit.sum(axis=1)
     return cnt
+
+
+def core_within(
+    x: np.ndarray,
+    own: np.ndarray,
+    nbrs: list[np.ndarray],
+    gap: Callable[[np.ndarray], np.ndarray],
+    eps: float,
+    min_pts: int,
+    count: Callable[[int, np.ndarray], np.ndarray] | None = None,
+) -> tuple[np.ndarray, int]:
+    """MarkCore's RangeCount for the points ``x[own]`` of one cell, stopped
+    at ``min_pts``: whether each has at least ``min_pts`` points of its
+    closed neighbourhood (``own`` and each ``x[nbrs[i]]``) within ``eps``,
+    and the (point, neighbour point) pairs the counts covered.
+
+    One ``count_within`` over the own cell and every neighbour of at most
+    ``SMALL_CELL`` points at once; then each larger neighbour, by ascending
+    ``gap(i)`` (nearest first; called only when some neighbour is larger),
+    counts only the points still below ``min_pts`` that can still reach it,
+    and the scan stops when none is left.  ``count(i, q)``, if given,
+    counts ``q`` against neighbour ``i`` in place of the scan (a quadtree).
+    The flags equal a full count's.
+    """
+    size = np.fromiter(map(len, nbrs), np.int64, len(nbrs))
+    big = np.flatnonzero(size > SMALL_CELL)
+    small = [nbrs[i] for i in np.flatnonzero(size <= SMALL_CELL)] if len(big) else nbrs
+    near = x[np.concatenate([own, *small])]
+    total = count_within(x[own], near, eps)
+    pairs = len(own) * len(near)
+    if len(big):
+        rest = int(size[big].sum())
+        for i in big[np.argsort(gap(big), kind="stable")]:
+            live = np.flatnonzero((total < min_pts) & (total + rest >= min_pts))
+            if not len(live):
+                break
+            q = x[own[live]]
+            total[live] += count(i, q) if count else count_within(q, x[nbrs[i]], eps)
+            pairs += len(live) * int(size[i])
+            rest -= int(size[i])
+    return total >= min_pts, pairs
 
 
 def pairs_within(q: np.ndarray, p: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:

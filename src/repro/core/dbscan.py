@@ -19,16 +19,19 @@ our-2d-box-*        d=2, cell_method="box",  graph_method in {bcp,usec,delaunay}
 
 A cell is its row in the call's ``CellTable`` (``repro.core.cellkernel``),
 so the phases hand each other per-cell facts as arrays indexed by cell.  A
-call runs the per-block kernel (``cellkernel.per_block``) twice, a block
-being a run of cells that reads its own cells plus a one-cell halo:
-MarkCore's pass flags the core points, and ClusterCore's pass decides the
-candidate edges and finds each non-core point's core cells within eps (its
-links).  One per-point frame, MarkCore's ``(id, cell, x*, is_core)``,
-carries a call to the result: ClusterCore's pass reads it, and
-ClusterBorder labels its points, the non-core ones from their links, with
-JVM joins only.  A call caches that frame (unless every cell is dense), the
-pass's output when it decided edges, and the result, and leaves only the
-result cached.
+call runs the per-block kernel (``cellkernel.per_block``) once, a block
+being a run of cells that reads its own cells plus a two-cell halo: their
+neighbours, and the neighbours of every sparse cell among those.  In that
+one pass a block flags the core points of its own cells and their
+neighbours (MarkCore, which itself runs no Spark job), decides the
+candidate edges its own cells are responsible for (ClusterCore), and finds
+each non-core point's core cells within eps (its links).  The driver
+collects the pass's small rows (core counts, edges) in the pass's one job,
+and ClusterBorder labels the pass's cached point rows, the non-core ones
+from their links, with JVM joins only.  When no cell is sparse, every point
+is core and the pass, if there is a neighbour pair, only decides edges.  A
+call caches the pass's output (unless every cell is dense) and the result,
+and leaves only the result cached.
 
 Output: DataFrame (id, is_core, clusters array<long>) — empty array = noise;
 border points may carry several labels.  Cluster labels are canonical core-
@@ -91,15 +94,13 @@ def dbscan(
     stats["t_cells"] = t1 - t0
 
     # ---- mark core ------------------------------------------------------
-    flagged, core_cnt = mark_core(
-        spark, pts_cells, d, eps, min_pts, cells, use_quadtree=markcore_quadtree
-    )
+    marks = mark_core(pts_cells, d, eps, min_pts, cells, use_quadtree=markcore_quadtree)
     t2 = time.perf_counter()
     stats["t_markcore"] = t2 - t1
 
-    # ---- cluster core ---------------------------------------------------
-    cluster, gstats, links = build_cell_graph(
-        spark, flagged, core_cnt, cells, d, eps,
+    # ---- cluster core (and MarkCore's counts, in the same pass) ---------
+    cluster, gstats, rows = build_cell_graph(
+        spark, marks, cells, d, eps,
         method="approx" if approx else graph_method, rho=rho, bucketing=bucketing,
     )
     stats.update(gstats)
@@ -107,15 +108,14 @@ def dbscan(
     stats["t_clustercore"] = t3 - t2
 
     # ---- cluster border -------------------------------------------------
-    result = cluster_border(spark, flagged, cluster, links).cache()
+    result = cluster_border(spark, marks.points, cluster, rows).cache()
     result.count()
     t4 = time.perf_counter()
     stats["t_border"] = t4 - t3
     stats["t_total"] = t4 - t0
 
-    flagged.unpersist()
-    if links is not None:
-        links.unpersist()
+    if rows is not None:
+        rows.unpersist()
     if return_stats:
         return result, stats
     return result

@@ -1,82 +1,96 @@
-"""Parallel MarkCore (Algorithm 2) on Spark DataFrames.
+"""Parallel MarkCore (Algorithm 2), counted inside ClusterCore's block pass.
 
 Dense cells (≥ minPts points) mark all their points core directly — any two
-points in a cell are within eps.  Points of sparse cells count neighbors by
-distance: one RangeCount over their cell and its neighboring cells at once.
+points in a cell are within eps.  Points of sparse cells count neighbours by
+distance with ``cellkernel.core_within``, which stops at minPts (Alg. 2 only
+asks whether a count reaches it): one scan over the cell and its neighbour
+cells of at most 32 points at once, then each larger neighbour, nearest
+first, on the points still below minPts only.  our-exact-qt (§5.2) counts
+each larger neighbour with a quadtree rooted at that cell's box, built once
+per cell in a block, over those points only.
 
-The result is the call's one per-point frame ``(id, cell, x*, is_core)``;
-ClusterCore's block pass reads its points from it, and ClusterBorder labels
-them.  Both counts come from the cell table: when it holds no sparse cell,
-every point is core, the flag is a literal column and the core count of a
-cell is its point count, with no Spark job.  Otherwise the frame is the
-output of the shared per-block kernel (``cellkernel.per_block``), blocks
-weighted by point count: each block reads its own cells plus, for each
-sparse cell, its neighbour cells, and returns its own points with their
-flags.  The frame is cached, and the per-cell core counts, an array indexed by cell, are the
-aggregation whose job fills that cache.  A sparse cell's RangeCount is one
-vectorised scan of the neighbourhood's points concatenated (our-exact).
-our-exact-qt (§5.2) takes each neighboring cell of more than 32 points out
-of the scan and counts it with a quadtree rooted at that cell's box, built
-once per cell in a block; its own cell is always scanned, by distance.
+``mark_core`` runs no Spark job.  From the cell table alone it decides which
+cells are sparse, and it hands ClusterCore's one block pass
+(``cellgraph.build_cell_graph``) the per-point frame and the block-side
+``flag`` function.  That pass ships each block a two-cell halo, so a block
+flags its own cells and their neighbours itself, and so derives the core
+counts its candidate edges need.
 """
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from typing import Callable, NamedTuple
 
-from repro.core.cellkernel import CellTable, blocks, count_within, per_block
+import numpy as np
+from pyspark.sql import DataFrame
+
+from repro.core.cellkernel import CellTable, core_within
 from repro.core.grid import xcols
 from repro.spatial.quadtree import QuadTree
 
 
-def _mark_block(cells: CellTable, d: int, eps: float, min_pts: int, use_quadtree: bool):
-    """Per-block kernel: the block's own points with their core flags."""
-    xc = xcols(d)
+class CoreMarks(NamedTuple):
+    """MarkCore's part of the block pass.
+
+    ``points`` is the per-point frame ``(id, cell, x*)``; ``sparse`` marks
+    the cells whose points are counted (an array indexed by cell); ``flag(x,
+    by_cell, todo, start, nbr)`` flags the block rows ``x`` of the cells
+    ``todo`` (``by_cell``: each cell's row indices; ``start, nbr``: the
+    closed neighbourhoods, ``CellTable.neighbours``) and returns ``(is_core,
+    pairs)``, a flag per row (false outside ``todo``) and the pairs each
+    cell of ``todo`` covered.
+    """
+
+    points: DataFrame
+    sparse: np.ndarray
+    flag: Callable[..., tuple[np.ndarray, np.ndarray]]
+
+
+def _flag_cells(cells: CellTable, d: int, eps: float, min_pts: int, use_quadtree: bool):
+    """The block-side ``CoreMarks.flag``."""
     cnt = cells.pdf["cnt"].to_numpy(dtype=np.int64)
     boxes = cells.pdf[[f"lo{j}" for j in range(d)] + ["side"]].to_numpy(dtype=np.float64)
-    start, nbr = cells.neighbours()
+    lo, side = boxes[:, :-1], boxes[:, -1:]
 
-    def fn(_b: int, pdf: pd.DataFrame) -> pd.DataFrame:
-        x = pdf[xc].to_numpy(dtype=np.float64)
-        by_cell = pdf.groupby("cell", sort=False).indices
+    def flag(x: np.ndarray, by_cell: dict, todo: np.ndarray, start: np.ndarray, nbr: np.ndarray):
+        is_core = np.zeros(len(x), dtype=bool)
+        pairs = np.zeros(len(todo), dtype=np.int64)
         trees: dict[int, QuadTree] = {}
 
-        def tree_count(q: np.ndarray, h: int) -> np.ndarray:
+        def tree_count(h: int, q: np.ndarray) -> np.ndarray:
             if h not in trees:
-                trees[h] = QuadTree(x[by_cell[h]], boxes[h, :-1], float(boxes[h, -1]))
+                trees[h] = QuadTree(x[by_cell[h]], lo[h], float(side[h, 0]))
             return np.fromiter((trees[h].range_count(r, eps) for r in q), np.int64, len(q))
 
-        home = pdf["home"].to_numpy()
-        is_core = np.ones(len(pdf), dtype=bool)
-        for g in np.unique(pdf["cell"].to_numpy()[home]):
-            if cnt[g] >= min_pts:
+        for i, c in enumerate(todo):
+            if cnt[c] >= min_pts:
+                is_core[by_cell[c]] = True
                 continue
-            own, hood = by_cell[g], nbr[start[g] : start[g + 1]]
-            treed = use_quadtree & (hood != g) & (cnt[hood] > 32)
-            total = count_within(x[own], x[np.concatenate([by_cell[h] for h in hood[~treed]])], eps)
-            for h in hood[treed]:
-                total += tree_count(x[own], h)
-            is_core[own] = total >= min_pts
-        return pdf.loc[home, ["id", "cell", *xc]].assign(is_core=is_core[home])
+            hood = nbr[start[c] : start[c + 1]]
+            hood = hood[hood != c]
 
-    return fn
+            def gap(j: np.ndarray) -> np.ndarray:  # squared gap between the root boxes
+                h = hood[j]
+                apart = np.maximum(lo[h] - lo[c] - side[c], lo[c] - lo[h] - side[h])
+                return (np.maximum(apart, 0.0) ** 2).sum(axis=1)
+
+            count = (lambda j, q: tree_count(hood[j], q)) if use_quadtree else None
+            is_core[by_cell[c]], pairs[i] = core_within(
+                x, by_cell[c], [by_cell[h] for h in hood], gap, eps, min_pts, count
+            )
+        return is_core, pairs
+
+    return flag
 
 
 def mark_core(
-    spark,
     pts_cells: DataFrame,
     d: int,
     eps: float,
     min_pts: int,
     cells: CellTable,
     use_quadtree: bool = False,
-) -> tuple[DataFrame, np.ndarray]:
-    """Return the per-point frame (id, cell, x0..x{d-1}, is_core) and
-    ``core_cnt``, each cell's number of core points (an array indexed by cell).
-
-    When some cell is sparse the frame is cached; the caller unpersists it.
+) -> CoreMarks:
+    """MarkCore's part of the call's block pass; runs no Spark job.
 
     Parameters
     ----------
@@ -84,27 +98,9 @@ def mark_core(
     cells     : the call's cell table (count, quadtree root box and
                 neighbour pairs of each cell).
     """
-    xc = xcols(d)
-    base = pts_cells.select("id", "cell", *xc)
-    cnt = cells.pdf["cnt"].to_numpy(dtype=np.int64)
-    if (cnt >= min_pts).all():  # no sparse cell: every point is core
-        return base.withColumn("is_core", F.lit(True)), cnt
-
-    block = blocks(spark, cnt)
-    g, h = cells.pairs["cell"].to_numpy(), cells.pairs["ncell"].to_numpy()
-    sparse = cnt[g] < min_pts
-    need = pd.DataFrame({
-        "cell": np.concatenate([np.arange(len(cnt)), h[sparse]]),
-        "block": np.concatenate([block, block[g[sparse]]]),
-    })
-    schema = ", ".join(["id long", "cell long", *[f"{x} double" for x in xc], "is_core boolean"])
-    flagged = per_block(
-        spark, base, need, block, _mark_block(cells, d, eps, min_pts, use_quadtree), schema
-    ).cache()
-    per_cell = (
-        flagged.groupBy("cell").agg(F.sum(F.col("is_core").cast("long")).alias("core_cnt"))
-        .toPandas()
+    sparse = cells.pdf["cnt"].to_numpy(dtype=np.int64) < min_pts
+    return CoreMarks(
+        pts_cells.select("id", "cell", *xcols(d)),
+        sparse,
+        _flag_cells(cells, d, eps, min_pts, use_quadtree),
     )
-    core_cnt = np.zeros(len(cnt), dtype=np.int64)
-    core_cnt[per_cell["cell"].to_numpy()] = per_cell["core_cnt"].to_numpy()
-    return flagged, core_cnt

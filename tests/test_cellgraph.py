@@ -7,26 +7,28 @@ from repro import synth_data as sd
 from repro.core import grid
 from repro.core.cellgraph import build_cell_graph
 from repro.core.mark_core import mark_core
+from repro.core.reference import dbscan_brute
 from repro.oracle import assert_equivalent
 from repro.primitives.unionfind import UnionFind
 from tests.test_dbscan_exact import _jobs_in_group, _session_conf
 
 
 def _setup(spark, pts, eps, d, min_pts):
-    """MarkCore's frame, its core counts, the cell table and the core points
-    as a pandas frame (cell, x*)."""
+    """MarkCore's part of the pass, the cell table and the brute-force core
+    points as a pandas frame (cell, x*)."""
     df, cells = grid.build_cells(sd.points_df(spark, pts), eps, d)
-    flagged, core_cnt = mark_core(spark, df, d, eps, min_pts, cells)
-    core_pdf = flagged.where("is_core").select("cell", *grid.xcols(d)).toPandas()
-    return flagged, core_cnt, cells, core_pdf
+    marks = mark_core(df, d, eps, min_pts, cells)
+    pdf = marks.points.toPandas().sort_values("id")
+    core, _ = dbscan_brute(pts, eps, min_pts)
+    return marks, cells, pdf.loc[core, ["cell", *grid.xcols(d)]]
 
 
 def _graph(*args, **kw):
     """``build_cell_graph``'s (cluster, stats), with its block pass's cached
     output unpersisted."""
-    cluster, stats, links = build_cell_graph(*args, **kw)
-    if links is not None:
-        links.unpersist()
+    cluster, stats, rows = build_cell_graph(*args, **kw)
+    if rows is not None:
+        rows.unpersist()
     return cluster, stats
 
 
@@ -63,9 +65,9 @@ def test_methods_match_reference_2d(spark, method, bucketing):
         pytest.skip("delaunay computes all edges at once; bucketing is a no-op")
     pts = sd.seed_spreader(350, 2, seed=10)
     eps, min_pts = 280.0, 8
-    flagged, core_cnt, cells, core_pdf = _setup(spark, pts, eps, 2, min_pts)
+    marks, cells, core_pdf = _setup(spark, pts, eps, 2, min_pts)
     labels, stats = _graph(
-        spark, flagged, core_cnt, cells, 2, eps, method=method, bucketing=bucketing
+        spark, marks, cells, 2, eps, method=method, bucketing=bucketing
     )
     ref = _reference_cell_partition(core_pdf, eps)
     assert _partition_from_labels(labels) == ref
@@ -75,8 +77,8 @@ def test_methods_match_reference_2d(spark, method, bucketing):
 def test_bcp_matches_reference_higher_d(spark, d):
     pts = sd.seed_spreader(300, d, seed=d + 20)
     eps, min_pts = 400.0 * np.sqrt(d), 8
-    flagged, core_cnt, cells, core_pdf = _setup(spark, pts, eps, d, min_pts)
-    labels, _ = _graph(spark, flagged, core_cnt, cells, d, eps)
+    marks, cells, core_pdf = _setup(spark, pts, eps, d, min_pts)
+    labels, _ = _graph(spark, marks, cells, d, eps)
     ref = _reference_cell_partition(core_pdf, eps)
     assert _partition_from_labels(labels) == ref
 
@@ -86,8 +88,8 @@ def _prune_case(spark):
     connected edges already join."""
     pts = sd.seed_spreader(500, 2, seed=12)
     eps, min_pts = 350.0, 5
-    flagged, core_cnt, cells, _ = _setup(spark, pts, eps, 2, min_pts)
-    return spark, flagged, core_cnt, cells, 2, eps
+    marks, cells, _ = _setup(spark, pts, eps, 2, min_pts)
+    return spark, marks, cells, 2, eps
 
 
 def test_bucketing_prunes_queries(spark):
@@ -113,33 +115,32 @@ def test_block_prunes_queries_without_bucketing(spark):
 @pytest.mark.parametrize("bucketing", [False, True])
 @pytest.mark.parametrize("method", ["bcp", "qt", "approx", "usec"])
 def test_one_round(spark, method, bucketing):
-    """Every candidate edge is decided in one ``per_block`` round: two Spark
-    jobs, one that broadcasts the round's ``need`` table and one that runs
-    the kernel."""
+    """MarkCore and every candidate edge run in one ``per_block`` pass:
+    three Spark jobs, two that broadcast the grid's cell numbers and the
+    pass's ``need`` table and one that runs the kernel."""
     args = _prune_case(spark)
     (_, stats), jobs = _jobs_in_group(
         spark, f"test-one-round-{method}-{bucketing}",
         lambda: _graph(*args, method=method, bucketing=bucketing),
     )
     assert stats["n_candidate_edges"] > 0
-    assert jobs == 2
+    assert jobs == 3
 
 
 def test_no_core_cells(spark):
     pts = sd.seed_spreader(60, 2, seed=13)
-    flagged, core_cnt, cells, _ = _setup(spark, pts, 200.0, 2, 1000)
-    labels, stats, links = build_cell_graph(spark, flagged, core_cnt, cells, 2, 200.0)
+    marks, cells, _ = _setup(spark, pts, 200.0, 2, 1000)
+    labels, stats = _graph(spark, marks, cells, 2, 200.0)
     assert labels.tolist() == [-1] * len(cells.pdf)
-    assert stats["n_clusters"] == 0
-    assert links is None
+    assert stats["n_clusters"] == stats["n_core_cells"] == stats["n_candidate_edges"] == 0
 
 
 def test_single_cell_graph(spark):
     rng = np.random.default_rng(5)
     side = grid.cell_side(10.0, 2)
     pts = rng.random((40, 2)) * side * 0.99
-    flagged, core_cnt, cells, _ = _setup(spark, pts, 10.0, 2, 5)
-    labels, stats = _graph(spark, flagged, core_cnt, cells, 2, 10.0)
+    marks, cells, _ = _setup(spark, pts, 10.0, 2, 5)
+    labels, stats = _graph(spark, marks, cells, 2, 10.0)
     assert stats["n_clusters"] == 1
     assert labels.tolist() == [0]
 
@@ -149,7 +150,7 @@ def test_cell_edges_oracle_sql(spark):
     min core-point distance ≤ eps (restricted to candidate neighbor pairs)."""
     pts = sd.seed_spreader(250, 2, seed=14)
     eps, min_pts = 300.0, 6
-    _, _, cells, core_pdf = _setup(spark, pts, eps, 2, min_pts)
+    _, cells, core_pdf = _setup(spark, pts, eps, 2, min_pts)
     # Spark-side: evaluate all candidate edges via the flat path, reading the
     # UF merges indirectly through the label partition refinement is lossy;
     # instead recompute edges here with the kernel-independent definition.

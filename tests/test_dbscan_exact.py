@@ -270,21 +270,20 @@ BORDER_PTS = np.array(
 @pytest.mark.parametrize("cell_method", list(CELL_METHODS))
 def test_no_shuffled_join(spark, cell_method, adaptive):
     """With broadcast joins off in the session, every join that makes the
-    points with their cell, MarkCore's frame and ClusterBorder's result is a
-    broadcast hash join with a driver table: no join shuffles, with adaptive
-    execution off or on."""
+    points with their cell, the block pass's output and ClusterBorder's
+    result is a broadcast hash join with a driver table: no join shuffles,
+    with adaptive execution off or on."""
     assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
     with _session_conf(spark, {AQE: adaptive}):
         pts_cells, cells = CELL_METHODS[cell_method](sd.points_df(spark, BORDER_PTS), 1.0, 2)
         assert set(_joins(pts_cells)) <= {"BroadcastHashJoin"}
-        flagged, core_cnt = mark_core(spark, pts_cells, 2, 1.0, 5, cells)
-        cluster, _, links = build_cell_graph(spark, flagged, core_cnt, cells, 2, 1.0)
-        result = cluster_border(spark, flagged, cluster, links)
+        marks = mark_core(pts_cells, 2, 1.0, 5, cells)
+        cluster, _, rows = build_cell_graph(spark, marks, cells, 2, 1.0)
+        result = cluster_border(spark, marks.points, cluster, rows)
         assert result_to_pandas(result)["clusters"].map(len).tolist() == [1] * 6 + [0]
-        for df in (flagged, result):
+        for df in (rows, result):
             assert set(_joins(df)) == {"BroadcastHashJoin"}, _joins(df)
-        flagged.unpersist()
-        links.unpersist()
+        rows.unpersist()
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -313,10 +312,45 @@ def test_eps_boundary_in_one_cell(spark, variant):
     _run_variant_and_check(spark, pts, EPS_BOUNDARY, 3, variant)
 
 
+# Inputs of the block pass's two-cell halo and of MarkCore's early exit, as
+# (points, eps, minPts).
+HALO_CASES = {
+    # eps = 1, grid cells of side 0.707 along one row: a in cell 0, b in
+    # cell 1, c1 and c2 in cell 3, so cell 3 neighbours cell 1 but not
+    # cell 0.  b is core only by counting c1 and c2, and a is a border
+    # point only through b.  At 7 and 64 blocks (weights 1, 1, 2) the three
+    # cells lie in three blocks, so a's block reads b's flag from its halo
+    # and needs cell 3, two hops from its own cell, to decide it.
+    "two-hop-halo": (np.array([[0.6, 0.1], [1.4, 0.1], [2.2, 0.1], [2.3, 0.1]]), 1.0, 4),
+    # eps = 5: 40 points at (1, 1) make a dense cell of more than 32 points
+    # (counted after the first scan, on the points still below minPts),
+    # and the sparse cells beside it hold points at exactly eps from it
+    # ((6, 1) and (5, 4)) and just beyond ((6 + 1e-9, 1) and (5, 4 + 1e-7)).
+    "sparse-beside-dense": (
+        np.vstack([np.tile([[1.0, 1.0]], (40, 1)),
+                   [[6.0, 1.0], [6.0 + 1e-9, 1.0], [4.0, 1.0], [5.0, 4.0], [5.0, 4.0 + 1e-7]]]),
+        5.0,
+        40,
+    ),
+}
+
+
+@pytest.mark.parametrize("partitions", [1, 7, 64])
+@pytest.mark.parametrize("variant", list(VARIANTS))
+@pytest.mark.parametrize("case", list(HALO_CASES))
+def test_halo_and_early_exit(spark, case, variant, partitions):
+    """A block flags its halo's sparse cells from their own neighbourhoods,
+    and MarkCore's early exit flags points on both sides of eps next to a
+    dense cell as a full count does."""
+    pts, eps, min_pts = HALO_CASES[case]
+    with _session_conf(spark, {"spark.sql.shuffle.partitions": str(partitions)}):
+        _run_variant_and_check(spark, pts, eps, min_pts, variant)
+
+
 # Spark jobs per call with adaptive execution off on the inputs below, as
 # measured when the ceiling was set (the count is the same at 1, 4, 7 and 64
 # shuffle partitions).  A change that adds jobs to a call fails here.
-MAX_JOBS = {1: 7, 8: 8}
+MAX_JOBS = {1: 7, 8: 6}
 JOB_COUNT_PTS = sd.seed_spreader(300, 2, seed=30, noise_frac=0.05)
 
 
@@ -345,11 +379,12 @@ def test_job_count_same_across_calls(spark, min_pts, adaptive):
 
 
 # One call of each variant on the input with noise above, adaptive execution
-# off: box cells give the points their box from the driver's copy, with no
-# broadcast of the grid's cell numbers, so they run one job fewer.  Delaunay
-# collects the core points for the driver's triangulation and ships its
-# block pass's table during border, in place of ClusterCore's two jobs.
-VARIANT_MAX_JOBS = {v: 7 if VARIANTS[v].get("cell_method") == "box" else 8 for v in VARIANTS}
+# off: the cell table's job, the block pass's three (the grid's cell numbers,
+# the pass's ``need`` table, the collect of its small rows, which for
+# Delaunay include the core points it triangulates) and border's two.  Box
+# cells give the points their box from the driver's copy, with no broadcast
+# of the grid's cell numbers, so they run one job fewer.
+VARIANT_MAX_JOBS = {v: 5 if VARIANTS[v].get("cell_method") == "box" else 6 for v in VARIANTS}
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
