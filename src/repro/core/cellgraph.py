@@ -6,10 +6,9 @@ two neighboring core cells whose closest pair of core points is within eps.
 Connectivity between a pair is decided by one of the paper's methods:
 
 * ``bcp``   — blocked early-exit bichromatic closest pair (our-exact);
-* ``qt``    — RangeCount on a quadtree over the other cell's core points
-              (our-exact-qt);
-* ``approx``— rho-approximate RangeCount on a depth-limited quadtree
-              (our-approx / our-approx-qt; Gan&Tao semantics);
+* ``qt``, ``approx`` — RangeCount on a quadtree over the other cell's core
+              points, exact (our-exact-qt) or rho-approximate (our-approx /
+              our-approx-qt; Gan&Tao semantics): one count, rho = 0 is exact;
 * ``usec``  — unit-spherical emptiness checking with line separation (2D);
 * ``delaunay`` — edges of the Delaunay triangulation over all core points,
               filtered to cross-cell edges of length ≤ eps (2D).
@@ -52,7 +51,7 @@ from repro.core.cellkernel import CellTable, blocks, pairs_within, per_block
 from repro.core.grid import xcols
 from repro.core.mark_core import CoreMarks
 from repro.primitives.unionfind import UnionFind
-from repro.spatial.bcp import bcp_connected, connected_approx, connected_via_quadtree
+from repro.spatial.bcp import bcp_connected, connected_via_quadtree
 from repro.spatial.delaunay import delaunay_edges
 from repro.spatial.usec import usec_connected
 
@@ -124,7 +123,7 @@ def _cluster_block(
         "bcp": lambda pa, pb, lo, side: bcp_connected(pa, pb, eps),
         "usec": lambda pa, pb, lo, side: usec_connected(pa, pb, eps),
         "qt": lambda pa, pb, lo, side: connected_via_quadtree(pa, pb, eps, lo, side),
-        "approx": lambda pa, pb, lo, side: connected_approx(pa, pb, eps, rho, lo, side),
+        "approx": lambda pa, pb, lo, side: connected_via_quadtree(pa, pb, eps, lo, side, rho),
     }.get(method)  # None for delaunay, whose pass walks no edge
 
     def fn(b: int, pdf: pd.DataFrame) -> pd.DataFrame:

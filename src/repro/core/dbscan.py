@@ -2,16 +2,17 @@
 
 ``dbscan`` composes the phases — cell construction (grid §4.1 or box §4.2),
 MarkCore (Alg. 2), ClusterCore (Alg. 3 with BCP / quadtree / USEC / Delaunay
-/ approximate connectivity), connected components, ClusterBorder (Alg. 4) —
-into the paper's named implementations:
+connectivity), connected components, ClusterBorder (Alg. 4) — into the
+paper's named implementations.  ``"qt"`` and ``"approx"`` are one quadtree
+RangeCount, exact at rho = 0 and rho-approximate at the call's rho:
 
 =================  ========================================================
 paper name          dbscan(...) arguments
 -----------------  --------------------------------------------------------
 our-exact           graph_method="bcp"
 our-exact-qt        graph_method="qt", markcore_quadtree=True
-our-approx          approx=True  (graph approx, markcore scan)
-our-approx-qt       approx=True, markcore_quadtree=True
+our-approx          graph_method="approx"  (markcore scan)
+our-approx-qt       graph_method="approx", markcore_quadtree=True
 *-bucketing         bucketing=True
 our-2d-grid-*       d=2, cell_method="grid", graph_method in {bcp,usec,delaunay}
 our-2d-box-*        d=2, cell_method="box",  graph_method in {bcp,usec,delaunay}
@@ -52,6 +53,7 @@ from repro.core.mark_core import mark_core
 
 # Cell construction (§4.1 grid, §4.2 box): points -> (pts_cells, cells).
 CELL_METHODS = {"grid": grid.build_cells, "box": boxmod.build_cells}
+GRAPH_METHODS = ("bcp", "qt", "approx", "usec", "delaunay")  # cell-graph connectivity (§4.4)
 
 
 def dbscan(
@@ -64,23 +66,26 @@ def dbscan(
     cell_method: str = "grid",
     graph_method: str = "bcp",
     markcore_quadtree: bool = False,
-    approx: bool = False,
     rho: float = 0.01,
     bucketing: bool = False,
     return_stats: bool = False,
 ):
     """Run parallel DBSCAN; see module docstring for the variant matrix.
 
-    Arguments no variant accepts raise ValueError before any Spark job runs.
+    ``rho`` (finite, > 0) is the approximation factor of
+    ``graph_method="approx"``.  Arguments no variant accepts raise
+    ValueError before any Spark job runs.
     """
     xc = grid.xcols(d)
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
-    if cell_method not in CELL_METHODS or graph_method not in ("bcp", "qt", "usec", "delaunay"):
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho must be finite and > 0, got {rho}")
+    if cell_method not in CELL_METHODS or graph_method not in GRAPH_METHODS:
         raise ValueError(f"unknown cell_method {cell_method!r} or graph_method {graph_method!r}")
-    if graph_method in ("usec", "delaunay") and not approx and d != 2:
+    if graph_method in ("usec", "delaunay") and d != 2:
         raise ValueError(f"graph_method={graph_method!r} needs d=2, got d={d}")
     if sorted(c for c in points.columns if c.startswith("x")) != sorted(xc):
         raise ValueError(f"d={d} needs point columns x0..x{d - 1}, got {points.columns}")
@@ -101,7 +106,7 @@ def dbscan(
     # ---- cluster core (and MarkCore's counts, in the same pass) ---------
     cluster, gstats, rows = build_cell_graph(
         spark, marks, cells, d, eps,
-        method="approx" if approx else graph_method, rho=rho, bucketing=bucketing,
+        method=graph_method, rho=rho, bucketing=bucketing,
     )
     stats.update(gstats)
     t3 = time.perf_counter()
@@ -124,12 +129,12 @@ def dbscan(
 VARIANTS = {
     "our-exact": dict(graph_method="bcp"),
     "our-exact-qt": dict(graph_method="qt", markcore_quadtree=True),
-    "our-approx": dict(approx=True),
-    "our-approx-qt": dict(approx=True, markcore_quadtree=True),
+    "our-approx": dict(graph_method="approx"),
+    "our-approx-qt": dict(graph_method="approx", markcore_quadtree=True),
     "our-exact-bucketing": dict(graph_method="bcp", bucketing=True),
     "our-exact-qt-bucketing": dict(graph_method="qt", markcore_quadtree=True, bucketing=True),
-    "our-approx-bucketing": dict(approx=True, bucketing=True),
-    "our-approx-qt-bucketing": dict(approx=True, markcore_quadtree=True, bucketing=True),
+    "our-approx-bucketing": dict(graph_method="approx", bucketing=True),
+    "our-approx-qt-bucketing": dict(graph_method="approx", markcore_quadtree=True, bucketing=True),
     "our-2d-grid-bcp": dict(cell_method="grid", graph_method="bcp"),
     "our-2d-grid-usec": dict(cell_method="grid", graph_method="usec"),
     "our-2d-grid-delaunay": dict(cell_method="grid", graph_method="delaunay"),

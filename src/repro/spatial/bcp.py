@@ -1,24 +1,23 @@
 """Bichromatic closest pair (BCP) kernels for cell-graph connectivity (§4.4).
 
 These run *inside* Spark tasks, one call per candidate cell pair, so they are
-plain numpy.  Three variants, matching the paper's implementations:
+plain numpy.  Two kernels, matching the paper's implementations:
 
 * ``bcp_connected`` — blocked all-pairs distance computation with the paper's
   two optimisations: (1) pre-filter points farther than eps from the other
   cell's bounding box, (2) early exit on the first block pair containing a
   pair within eps.
-* ``connected_via_quadtree`` — our-exact-qt: RangeCount queries against a
-  quadtree built on the other cell's (core) points; connect iff some query
-  returns a non-zero count.
-* ``connected_approx`` — approximate DBSCAN connectivity: approximate
-  RangeCount on a depth-limited quadtree; connects all pairs within eps,
-  never connects pairs beyond eps(1+rho).
+* ``connected_via_quadtree`` — RangeCount queries against a quadtree built
+  on the other cell's (core) points; connect iff some query returns a
+  non-zero count.  At rho = 0 it is exact (our-exact-qt); at rho > 0 the
+  tree's RangeCount is rho-approximate (our-approx), so it connects all
+  pairs within eps and never pairs beyond eps(1+rho).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.spatial.quadtree import QuadTree, approx_depth
+from repro.spatial.quadtree import QuadTree
 
 _BLOCK = 64
 
@@ -56,9 +55,11 @@ def bcp_connected(a: np.ndarray, b: np.ndarray, eps: float) -> bool:
 
 
 def connected_via_quadtree(
-    a: np.ndarray, b: np.ndarray, eps: float, b_lo: np.ndarray, b_side: float
+    a: np.ndarray, b: np.ndarray, eps: float, b_lo: np.ndarray, b_side: float, rho: float = 0.0
 ) -> bool:
-    """our-exact-qt connectivity: quadtree on b, RangeCount per point of a.
+    """Quadtree on b, RangeCount per point of a: exact at rho = 0, and at
+    rho > 0 connects everything ≤ eps and nothing beyond eps(1+rho) (in
+    between is implementation-defined, as Gan&Tao allow).
 
     ``b_lo``/``b_side`` give b's cell box (the quadtree root box).
     """
@@ -66,24 +67,8 @@ def connected_via_quadtree(
     b = np.asarray(b, dtype=np.float64)
     if len(a) == 0 or len(b) == 0:
         return False
-    a = _box_filter(a, b, eps)
-    if len(a) == 0:
-        return False
-    qt = QuadTree(b, b_lo, b_side)
-    return any(qt.range_count(q, eps) > 0 for q in a)
-
-
-def connected_approx(
-    a: np.ndarray, b: np.ndarray, eps: float, rho: float, b_lo: np.ndarray, b_side: float
-) -> bool:
-    """Approximate connectivity (Gan&Tao): connects everything ≤ eps, nothing
-    beyond eps(1+rho); in between is implementation-defined."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if len(a) == 0 or len(b) == 0:
-        return False
     a = _box_filter(a, b, eps * (1.0 + rho))
     if len(a) == 0:
         return False
-    qt = QuadTree(b, b_lo, b_side, max_depth=approx_depth(rho))
-    return any(qt.range_count_approx(q, eps, rho) > 0 for q in a)
+    qt = QuadTree(b, b_lo, b_side, rho=rho)
+    return any(qt.range_count(q, eps) > 0 for q in a)

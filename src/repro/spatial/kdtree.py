@@ -3,8 +3,8 @@
 The paper (§5.1) inserts all *non-empty cells* into a parallel k-d tree so a
 cell can find its non-empty neighboring cells without enumerating the
 exponentially-many possible offsets.  Here the tree is built once on the
-driver over the cell-coordinate array (O(#cells) ≪ n) and queried in bulk
-with vectorised leaf scans; the per-point data-parallel phases never touch it.
+driver over the cell-coordinate array (O(#cells) ≪ n) and queried once per
+cell with vectorised leaf scans; the per-point data-parallel phases never touch it.
 
 The tree is stored in flat arrays (no Python node objects) so construction
 and queries stay numpy-speed.
@@ -20,7 +20,7 @@ class KDTree:
     """Static k-d tree over an (n, d) float array, median-split, leaf buckets.
 
     Supports ``query_radius`` (indices within Euclidean distance r of a query
-    point) and ``query_radius_bulk`` (loop over many queries).
+    point).
     """
 
     def __init__(self, pts: np.ndarray, leaf_size: int = _LEAF_SIZE):
@@ -104,7 +104,3 @@ class KDTree:
         if not out:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(out)
-
-    def query_radius_bulk(self, qs: np.ndarray, r: float) -> list[np.ndarray]:
-        """``query_radius`` for each row of ``qs`` (n_q, d)."""
-        return [self.query_radius(q, r) for q in np.asarray(qs, dtype=np.float64)]

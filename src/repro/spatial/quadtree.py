@@ -5,20 +5,20 @@ that cell's block (``applyInPandas`` per block), which is this reproduction's an
 of the paper's parallel per-cell quadtree construction: cells are processed in
 parallel by Spark, the per-cell build is local.
 
-Two query modes, matching the paper:
+One RangeCount serves both of the paper's modes, set by the tree's ρ:
 
-* ``range_count``  — exact count of points within distance eps of q.
-  Prunes subtrees whose box cannot intersect the eps-ball and adds whole
-  subtree counts when the box is entirely inside the ball.
-* ``range_count_approx`` — Gan&Tao ρ-approximate count: returns an integer in
-  [#points within eps, #points within eps(1+ρ)].  The tree is depth-limited to
-  l = 1 + ceil(log2(1/ρ)) so leaves have side ≤ eps·ρ/√d; a leaf box that
-  intersects the eps-ball contributes its full count (any such point is within
-  eps + leaf-diagonal = eps(1+ρ)).
+* ρ = 0 (exact, our-exact-qt): ``range_count`` returns the number of points
+  within eps of q.  It prunes subtrees whose box cannot intersect the
+  eps-ball and adds whole subtree counts when the box is inside the ball.
+* ρ > 0 (Gan&Tao ρ-approximate, our-approx): the count lies in
+  [#points within eps, #points within eps(1+ρ)].  The tree is depth-limited
+  to l = 1 + ceil(log2(1/ρ)), so leaves of a cell-sized root have side
+  ≤ eps·ρ/√d; a node counts whole once it lies within eps(1+ρ), and a leaf
+  that intersects the eps-ball counts whole when its diagonal is ≤ eps·ρ.
 
 Construction mirrors §5.2: recursively split into 2^d equal sub-boxes
 (numpy integer-keyed grouping — the paper's integer sort), stop at empty
-boxes, a leaf threshold, or (approx mode) the depth limit, and skip levels
+boxes, a leaf threshold, or (ρ > 0) the depth limit, and skip levels
 where all points fall into one child ("at least two non-empty children").
 """
 from __future__ import annotations
@@ -38,8 +38,8 @@ class QuadTree:
     pts : (n, d) float array
     lo  : (d,) box lower corner.  The box must contain all points.
     side: scalar box side length (boxes are hypercubes, as grid cells are).
-    max_depth : optional depth cap (approx mode); None = split until leaf
-        threshold.
+    rho : approximation factor; 0 = exact counts, split until the leaf
+        threshold; > 0 caps the depth at ``approx_depth(rho)``.
     """
 
     def __init__(
@@ -47,14 +47,15 @@ class QuadTree:
         pts: np.ndarray,
         lo: np.ndarray,
         side: float,
-        max_depth: int | None = None,
+        rho: float = 0.0,
         leaf_threshold: int = _LEAF_THRESHOLD,
     ):
         pts = np.asarray(pts, dtype=np.float64)
         self.pts = pts
         self.d = pts.shape[1]
         self.leaf_threshold = leaf_threshold
-        self.max_depth = max_depth
+        self.rho = rho
+        self.depth_cap = approx_depth(rho) if rho > 0 else math.inf
         # Flat node storage.
         self._lo: list[np.ndarray] = []
         self._side: list[float] = []
@@ -78,7 +79,7 @@ class QuadTree:
         sub = self.pts[idx]
         if (
             len(idx) <= self.leaf_threshold
-            or (self.max_depth is not None and depth >= self.max_depth)
+            or depth >= self.depth_cap
             or bool((sub == sub[0]).all())  # duplicates can never split
         ):
             self._leaf_pts[node] = idx
@@ -103,7 +104,7 @@ class QuadTree:
             depth += 1
             self._lo[node] = lo
             self._side[node] = side
-            if self.max_depth is not None and depth >= self.max_depth:
+            if depth >= self.depth_cap:
                 self._leaf_pts[node] = idx
                 return node
         else:  # never split within the cap: store as a leaf
@@ -140,39 +141,13 @@ class QuadTree:
         return float(diff @ diff)
 
     def range_count(self, q: np.ndarray, eps: float) -> int:
-        """Exact number of stored points within distance eps of q."""
+        """Number of stored points within eps of q, exact at ρ = 0 and in
+        [count(eps), count(eps(1+ρ))] at ρ > 0."""
         q = np.asarray(q, dtype=np.float64)
         eps2 = eps * eps
-        total = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if self._box_min_dist2(node, q) > eps2:
-                continue
-            if self._box_max_dist2(node, q) <= eps2:
-                total += self._count[node]
-                continue
-            kids = self._children[node]
-            if kids is None:
-                seg = self._leaf_pts[node]
-                diff = self.pts[seg] - q
-                d2 = np.einsum("ij,ij->i", diff, diff)
-                total += int((d2 <= eps2).sum())
-            else:
-                stack.extend(kids)
-        return total
-
-    def range_count_approx(self, q: np.ndarray, eps: float, rho: float) -> int:
-        """Gan&Tao approximate count in [count(eps), count(eps(1+rho))].
-
-        Requires the tree to have been built with
-        ``max_depth = approx_depth(rho)`` so that leaves are either tiny
-        (side ≤ eps·rho/√d) or below the leaf threshold; threshold leaves are
-        counted exactly, so the guarantee always holds.
-        """
-        q = np.asarray(q, dtype=np.float64)
-        eps2 = eps * eps
-        outer2 = (eps * (1.0 + rho)) ** 2
+        outer = eps * (1.0 + self.rho)
+        outer2 = outer * outer
+        leaf_diag = eps * self.rho
         total = 0
         stack = [self.root]
         while stack:
@@ -184,17 +159,14 @@ class QuadTree:
                 continue
             kids = self._children[node]
             if kids is None:
-                seg = self._leaf_pts[node]
-                # A leaf intersecting the eps-ball may count fully only when
-                # its diagonal is ≤ eps·rho (then all its points are within
-                # eps(1+rho)); otherwise count exactly. Checking the geometry
-                # here keeps the guarantee independent of how the tree was
-                # depth-limited.
-                diag = self._side[node] * math.sqrt(self.d)
-                if diag <= eps * rho:
+                # A leaf intersecting the eps-ball counts whole only when its
+                # diagonal is ≤ eps·ρ (then all its points are within
+                # eps(1+ρ)); otherwise count exactly.  Checking the geometry
+                # here keeps the guarantee independent of the depth cap.
+                if self.rho > 0 and self._side[node] * math.sqrt(self.d) <= leaf_diag:
                     total += self._count[node]
                 else:
-                    diff = self.pts[seg] - q
+                    diff = self.pts[self._leaf_pts[node]] - q
                     d2 = np.einsum("ij,ij->i", diff, diff)
                     total += int((d2 <= eps2).sum())
             else:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spatial.bcp import bcp_connected, connected_approx, connected_via_quadtree
+from repro.spatial.bcp import bcp_connected, connected_via_quadtree
 
 
 def _brute_min(a, b):
@@ -67,10 +67,10 @@ def test_approx_connectivity_sound_and_complete():
     mind = _brute_min(a, b)
     lo = np.zeros(d)
     # eps just above the true min distance: exact pair exists => must connect
-    assert connected_approx(a, b, mind * 1.001, rho, lo, side)
+    assert connected_via_quadtree(a, b, mind * 1.001, lo, side, rho)
     # eps(1+rho) below min distance => must not connect
     eps_far = mind / (1 + rho) * 0.999
-    assert not connected_approx(a, b, eps_far, rho, lo, side)
+    assert not connected_via_quadtree(a, b, eps_far, lo, side, rho)
 
 
 @settings(max_examples=50, deadline=None)
@@ -86,3 +86,35 @@ def test_hypothesis_connected(data):
     eps = data.draw(st.floats(0.01, 10, allow_nan=False))
     d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
     assert bcp_connected(a, b, eps) == bool((d2 <= eps * eps).any())
+
+
+def _lattice(data, n, d):
+    """n points of the integer lattice {0..12}^d, as floats."""
+    flat = data.draw(st.lists(st.integers(0, 12), min_size=n * d, max_size=n * d))
+    return np.array(flat, dtype=np.float64).reshape(n, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_hypothesis_quadtree_connectivity(data):
+    """On lattice points with an integer eps, so closest pairs often lie at
+    exactly eps: at rho = 0 the quadtree test equals BCP, and at rho > 0 it
+    connects every pair of sets whose closest pair is within eps and none
+    whose closest pair is beyond eps(1+rho)."""
+    d = data.draw(st.integers(1, 3))
+    a = _lattice(data, data.draw(st.integers(1, 25)), d)
+    b = _lattice(data, data.draw(st.integers(1, 25)), d)
+    eps = float(data.draw(st.integers(1, 6)))
+    rho = data.draw(st.sampled_from([0.0, 0.01, 0.1, 0.5]))
+    lo = b.min(axis=0)
+    side = float((b.max(axis=0) - lo).max() + 1)
+    got = connected_via_quadtree(a, b, eps, lo, side, rho)
+    if rho == 0:
+        assert got == bcp_connected(a, b, eps)
+    else:
+        d2 = float(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2).min())
+        outer = eps * (1 + rho)
+        if d2 <= eps * eps:
+            assert got
+        elif d2 > outer * outer:
+            assert not got

@@ -10,7 +10,7 @@ from repro.core.validate import check_approx_valid, result_to_pandas
 @pytest.mark.parametrize("rho", [0.001, 0.01, 0.1, 1.0])
 def test_approx_valid_across_rho(spark, rho):
     pts = sd.seed_spreader(300, 2, seed=41)
-    res = dbscan(spark, sd.points_df(spark, pts), 250.0, 8, 2, approx=True, rho=rho)
+    res = dbscan(spark, sd.points_df(spark, pts), 250.0, 8, 2, graph_method="approx", rho=rho)
     check_approx_valid(res, pts, 250.0, 8, rho)
 
 
@@ -18,7 +18,7 @@ def test_approx_valid_across_rho(spark, rho):
 def test_approx_valid_higher_d(spark, d):
     pts = sd.seed_spreader(250, d, seed=42 + d)
     eps = 400.0 * np.sqrt(d)
-    res = dbscan(spark, sd.points_df(spark, pts), eps, 8, d, approx=True, rho=0.01)
+    res = dbscan(spark, sd.points_df(spark, pts), eps, 8, d, graph_method="approx", rho=0.01)
     check_approx_valid(res, pts, eps, 8, 0.01)
 
 
@@ -42,7 +42,7 @@ def test_approx_core_flags_equal_exact(spark):
     pts = sd.seed_spreader(300, 2, seed=46)
     df = sd.points_df(spark, pts)
     exact = result_to_pandas(dbscan(spark, df, 250.0, 8, 2))
-    approx = result_to_pandas(dbscan(spark, df, 250.0, 8, 2, approx=True, rho=0.5))
+    approx = result_to_pandas(dbscan(spark, df, 250.0, 8, 2, graph_method="approx", rho=0.5))
     assert exact["is_core"].tolist() == approx["is_core"].tolist()
 
 
@@ -52,7 +52,7 @@ def test_approx_merges_at_most(spark):
     pts = sd.seed_spreader(300, 2, seed=47)
     df = sd.points_df(spark, pts)
     exact = result_to_pandas(dbscan(spark, df, 250.0, 8, 2))
-    approx = result_to_pandas(dbscan(spark, df, 250.0, 8, 2, approx=True, rho=1.0))
+    approx = result_to_pandas(dbscan(spark, df, 250.0, 8, 2, graph_method="approx", rho=1.0))
     for pdf in (exact, approx):
         pdf.set_index("id", inplace=True)
     core_ids = exact.index[exact["is_core"]]

@@ -8,7 +8,6 @@ from pyspark.sql import functions as F
 
 from repro import synth_data as sd
 from repro.baselines.hpdbscan_like import hpdbscan
-from repro.baselines.naive_parallel import naive_dbscan
 from repro.baselines.pdsdbscan_like import pdsdbscan
 from repro.baselines.rpdbscan_like import rpdbscan
 from repro.core.border import cluster_border
@@ -33,7 +32,7 @@ def _run_variant_and_check(spark, pts, eps, min_pts, variant):
     """Run a named variant; exact ones must equal brute force, approximate
     ones must satisfy the rho-approximate semantics at the default rho."""
     res = dbscan_variant(spark, sd.points_df(spark, pts), eps, min_pts, pts.shape[1], variant)
-    if VARIANTS[variant].get("approx"):
+    if VARIANTS[variant].get("graph_method") == "approx":
         check_approx_valid(res, pts, eps, min_pts, 0.01)
     else:
         assert_same_clustering(res, pts, eps, min_pts)
@@ -135,7 +134,6 @@ LEAK_CHECKED = {
     "rpdbscan": rpdbscan,
     "pdsdbscan": pdsdbscan,
     "hpdbscan": hpdbscan,
-    "naive": naive_dbscan,
 }
 
 
@@ -164,6 +162,10 @@ BAD_ARGUMENTS = {
     "delaunay-3d": dict(graph_method="delaunay", d=3, cols=3),
     "d-below-columns": dict(d=2, cols=3),
     "d-above-columns": dict(d=3, cols=2),
+    "rho-zero": dict(graph_method="approx", rho=0.0),
+    "rho-negative": dict(graph_method="approx", rho=-0.5),
+    "rho-nan": dict(graph_method="approx", rho=float("nan")),
+    "rho-inf": dict(graph_method="approx", rho=float("inf")),
 }
 
 

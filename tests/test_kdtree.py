@@ -53,16 +53,6 @@ def test_collinear_points():
     assert set(t.query_radius(np.array([10.0, 0.0]), 2.5)) == {8, 9, 10, 11, 12}
 
 
-def test_bulk_matches_single():
-    rng = np.random.default_rng(0)
-    pts = rng.random((200, 3))
-    t = KDTree(pts)
-    qs = rng.random((20, 3))
-    bulk = t.query_radius_bulk(qs, 0.3)
-    for q, res in zip(qs, bulk):
-        assert set(res.tolist()) == set(t.query_radius(q, 0.3).tolist())
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_hypothesis_matches_brute(data):

@@ -12,11 +12,11 @@ def _brute_count(pts, q, eps):
     return int((d2 <= eps * eps).sum())
 
 
-def _tree(pts, max_depth=None, leaf_threshold=16):
+def _tree(pts, leaf_threshold=16):
     pts = np.asarray(pts, dtype=np.float64)
     lo = pts.min(axis=0)
     side = float(max((pts.max(axis=0) - lo).max(), 1e-9)) * 1.0000001
-    return QuadTree(pts, lo, side, max_depth=max_depth, leaf_threshold=leaf_threshold)
+    return QuadTree(pts, lo, side, leaf_threshold=leaf_threshold)
 
 
 def test_root_count():
@@ -68,6 +68,17 @@ def test_approx_depth_formula(rho):
     assert 0.5 ** l <= rho / 2 or l == 1
 
 
+@pytest.mark.parametrize("rho", [0.01, 0.1, 1.0])
+def test_rho_caps_depth(rho):
+    """The tree takes its depth cap from rho: no node of a rho > 0 tree is
+    smaller than the root halved approx_depth(rho) times, while the exact
+    tree splits further on the same points."""
+    pts = np.random.default_rng(5).random((2000, 2))
+    cap = 0.5 ** approx_depth(rho)
+    assert min(QuadTree(pts, np.zeros(2), 1.0, rho=rho, leaf_threshold=1)._side) >= cap
+    assert min(QuadTree(pts, np.zeros(2), 1.0, leaf_threshold=1)._side) < cap
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 @pytest.mark.parametrize("rho", [0.01, 0.1, 1.0])
 def test_approx_count_sandwich(d, rho):
@@ -76,25 +87,25 @@ def test_approx_count_sandwich(d, rho):
     eps = 0.9
     side = eps / np.sqrt(d)
     pts = rng.random((400, d)) * side
-    t = QuadTree(pts, np.zeros(d), side, max_depth=approx_depth(rho), leaf_threshold=8)
+    t = QuadTree(pts, np.zeros(d), side, rho=rho, leaf_threshold=8)
     for _ in range(30):
         q = rng.random(d) * side * 3 - side
         lo = _brute_count(pts, q, eps)
         hi = _brute_count(pts, q, eps * (1 + rho))
-        got = t.range_count_approx(q, eps, rho)
+        got = t.range_count(q, eps)
         assert lo <= got <= hi, (lo, got, hi)
 
 
 def test_approx_zero_when_far():
     pts = np.random.default_rng(3).random((100, 2))
-    t = QuadTree(pts, np.zeros(2), 1.0, max_depth=approx_depth(0.1))
-    assert t.range_count_approx(np.array([50.0, 50.0]), 1.0, 0.1) == 0
+    t = QuadTree(pts, np.zeros(2), 1.0, rho=0.1)
+    assert t.range_count(np.array([50.0, 50.0]), 1.0) == 0
 
 
 def test_approx_full_when_enclosing():
     pts = np.random.default_rng(4).random((100, 2))
-    t = QuadTree(pts, np.zeros(2), 1.0, max_depth=approx_depth(0.1))
-    assert t.range_count_approx(np.array([0.5, 0.5]), 10.0, 0.1) == 100
+    t = QuadTree(pts, np.zeros(2), 1.0, rho=0.1)
+    assert t.range_count(np.array([0.5, 0.5]), 10.0) == 100
 
 
 @settings(max_examples=40, deadline=None)
@@ -127,10 +138,10 @@ def test_hypothesis_approx_sandwich(data):
     pts = np.array(flat, dtype=np.float64).reshape(n, d)
     rho = data.draw(st.sampled_from([0.01, 0.1, 0.5]))
     eps = data.draw(st.floats(0.1, 3.0, allow_nan=False))
-    t = QuadTree(pts, np.zeros(d), 1.0000001, max_depth=approx_depth(rho), leaf_threshold=2)
+    t = QuadTree(pts, np.zeros(d), 1.0000001, rho=rho, leaf_threshold=2)
     q = np.array(
         data.draw(st.lists(st.floats(-1, 2, allow_nan=False, width=32), min_size=d, max_size=d))
     )
     lo = _brute_count(pts, q, eps)
     hi = _brute_count(pts, q, eps * (1 + rho))
-    assert lo <= t.range_count_approx(q, eps, rho) <= hi
+    assert lo <= t.range_count(q, eps) <= hi
